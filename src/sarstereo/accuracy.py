@@ -193,11 +193,19 @@ def accuracy_grid(
     sigma0: float = 1.0,
     sigma_alpha_factor: float = 1e-6,
 ) -> AccuracyGrid:
-    """Evaluate the accuracy model over a (theta, alpha) grid in degrees."""
+    """Evaluate the accuracy model over a (theta, alpha) grid in degrees.
+
+    Invalid input raises ValueError.  NaN, flagged cells: no intersection,
+    alpha = 0, and negative alpha in opposite_side mode.
+    """
     if not (0.0 < theta_range_deg[0] and theta_range_deg[1] < 90.0):
         raise ValueError("theta range must lie within (0, 90) degrees")
     if not (-90.0 < alpha_range_deg[0] and alpha_range_deg[1] < 90.0):
         raise ValueError("alpha range must lie within (-90, 90) degrees")
+    # a configuration with a valid alpha checks every other input, so a
+    # ValueError in the loop below comes from the cell's alpha alone
+    StereoConfig(mode, np.deg2rad(theta_range_deg[0]), np.deg2rad(45.0), hs, ho,
+                 h, sigma0, sigma_alpha_factor)
     thetas = np.linspace(*theta_range_deg, steps[0])
     alphas = np.linspace(*alpha_range_deg, steps[1])
     ratio = np.full((steps[0], steps[1]), np.nan)

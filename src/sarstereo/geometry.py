@@ -12,13 +12,24 @@ Cartesian frame:
 Image axis convention: x maps to col and y to row, both increasing with the
 pixel index.  A point is in front of the optical camera when the projection
 denominator is negative (aerial convention: identity rotation looks down).
+
+This module is the only place that states the sensor equations, and the
+projections work on arrays: sar_forward_array and opt_forward_array map
+ground points to (t, r) and (row, col); the optical inverse is opt_ray
+(pixel to world ray) followed by ray_at_height (ray to plane z = h).
+Ground points are float arrays of shape (..., 3) holding (x, y, h) in the
+last axis; image and SAR coordinates are pairs of arrays of shape (...,).
+An element whose projection fails is NaN (for the inverse: x and y) and
+raises nothing.  The scalar functions sar_forward, opt_forward and
+opt_inverse_at_height take and return the dataclasses below, call the
+array forms, and raise the typed error of the failure instead:
+BehindCamera for the forward projection, RayParallelToPlane for the
+inverse.  sar_inverse_at_height is scalar only.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -125,8 +136,9 @@ class SarSensorModel:
         if self.look_side not in ("left", "right"):
             raise ValueError("look_side must be 'left' or 'right'")
 
-    def position(self, t: float) -> np.ndarray:
-        return self.s0 + self.v * (t - self.t0)
+    def position(self, t) -> np.ndarray:
+        """Sensor position (..., 3) at time(s) t of shape (...,)."""
+        return self.s0 + np.multiply.outer(t - self.t0, self.v)
 
     def obs_from_pixel(self, ip: ImagePoint) -> SarObservation:
         return SarObservation(
@@ -138,29 +150,6 @@ class SarSensorModel:
         return ImagePoint(
             row=(obs.t - self.t0) / self.az_time_per_row,
             col=(obs.r - self.r_near) / self.range_per_col,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "s0": [float(c) for c in self.s0],
-            "v": [float(c) for c in self.v],
-            "t0": self.t0,
-            "az_time_per_row": self.az_time_per_row,
-            "r_near": self.r_near,
-            "range_per_col": self.range_per_col,
-            "look_side": self.look_side,
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "SarSensorModel":
-        return SarSensorModel(
-            s0=d["s0"],
-            v=d["v"],
-            t0=float(d["t0"]),
-            az_time_per_row=float(d["az_time_per_row"]),
-            r_near=float(d["r_near"]),
-            range_per_col=float(d["range_per_col"]),
-            look_side=d["look_side"],
         )
 
 
@@ -191,44 +180,33 @@ class OpticalSensorModel:
     def rotation(self) -> np.ndarray:
         return self._rot
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pc": [float(c) for c in self.pc],
-            "phi": self.phi,
-            "omega": self.omega,
-            "kappa": self.kappa,
-            "focal": self.focal,
-            "principal_row": self.principal_row,
-            "principal_col": self.principal_col,
-        }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "OpticalSensorModel":
-        return OpticalSensorModel(
-            pc=d["pc"],
-            phi=float(d["phi"]),
-            omega=float(d["omega"]),
-            kappa=float(d["kappa"]),
-            focal=float(d["focal"]),
-            principal_row=float(d["principal_row"]),
-            principal_col=float(d["principal_col"]),
-        )
+_SIDECAR_KEYS = {"sar_model": SarSensorModel, "optical_model": OpticalSensorModel}
 
 
-def save_model_json(model, path) -> None:
-    """Write a sensor-model sidecar document."""
+def model_to_sidecar(model) -> dict:
+    """Raster sidecar entry of a model: {"sar_model" | "optical_model": fields}."""
     key = "sar_model" if isinstance(model, SarSensorModel) else "optical_model"
-    Path(path).write_text(json.dumps({key: model.to_json_dict()}, indent=2) + "\n")
+    # tolist turns vectors into lists and numpy scalars into Python numbers
+    return {key: {f.name: np.asarray(getattr(model, f.name)).tolist()
+                  for f in fields(model) if f.init}}
 
 
-def load_model_json(path):
-    """Read a sensor-model sidecar written by save_model_json."""
-    d = json.loads(Path(path).read_text())
-    if "sar_model" in d:
-        return SarSensorModel.from_json_dict(d["sar_model"])
-    if "optical_model" in d:
-        return OpticalSensorModel.from_json_dict(d["optical_model"])
-    raise ValueError(f"{path}: no sensor model found")
+def model_from_sidecar(sidecar: dict):
+    """The sensor model of a raster sidecar written with model_to_sidecar."""
+    for key, cls in _SIDECAR_KEYS.items():
+        if key in sidecar:
+            return cls(**{f.name: sidecar[key][f.name] for f in fields(cls) if f.init})
+    raise ValueError("sidecar holds no sensor model")
+
+
+def _xyz(a):
+    """The coordinates of points a (..., 3): three arrays of shape (...,).
+
+    Per-coordinate arithmetic on many points runs along long rows, not in
+    triples; for one point they are numpy scalars, cheaper than 0-d arrays.
+    """
+    return a[..., 0][()], a[..., 1][()], a[..., 2][()]
 
 
 def rotation_from_angles(phi: float, omega: float, kappa: float) -> np.ndarray:
@@ -244,17 +222,24 @@ def rotation_from_angles(phi: float, omega: float, kappa: float) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def sar_forward(model: SarSensorModel, p: GroundPoint) -> SarObservation:
-    """Project a ground point through the range-Doppler equations.
+def sar_forward_array(model: SarSensorModel, p) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-Doppler time and slant range (t, r) of ground points p (..., 3).
 
     For a constant-velocity orbit the zero-Doppler condition
     v . (p - s(t)) = 0 has the closed form t = t0 + v . (p - s0) / |v|^2.
     """
-    pa = p.as_array()
-    v2 = float(np.dot(model.v, model.v))
-    t = model.t0 + float(np.dot(model.v, pa - model.s0)) / v2
-    r = float(np.linalg.norm(pa - model.position(t)))
-    return SarObservation(t=t, r=r)
+    x, y, h = _xyz(np.asarray(p, dtype=float))
+    (sx, sy, sz), (vx, vy, vz) = model.s0, model.v
+    dt = (vx * (x - sx) + vy * (y - sy) + vz * (h - sz)) / (model.v @ model.v)
+    r = np.sqrt((x - (sx + vx * dt)) ** 2 + (y - (sy + vy * dt)) ** 2
+                + (h - (sz + vz * dt)) ** 2)
+    return model.t0 + dt, r
+
+
+def sar_forward(model: SarSensorModel, p: GroundPoint) -> SarObservation:
+    """Project a ground point through the range-Doppler equations."""
+    t, r = sar_forward_array(model, p.as_array())
+    return SarObservation(t=float(t), r=float(r))
 
 
 def sar_inverse_at_height(
@@ -290,30 +275,81 @@ def sar_inverse_at_height(
     return GroundPoint(float(q[0]), float(q[1]), float(h))
 
 
+def camera_frame(model: OpticalSensorModel, p) -> np.ndarray:
+    """Camera-frame coordinates q = R^T (p - pc) of ground points p (..., 3)."""
+    return (p - model.pc) @ model.rotation
+
+
+def in_front(q) -> np.ndarray:
+    """Whether camera-frame points q (..., 3) lie in front of the camera."""
+    return q[..., 2] < 0
+
+
+def collinearity(model: OpticalSensorModel, q) -> tuple[np.ndarray, np.ndarray]:
+    """Image coordinates (row, col) of camera-frame points q (..., 3).
+
+    Valid for points in front of the camera only; see in_front.
+    """
+    qx, qy, qz = _xyz(q)
+    row = model.principal_row + model.focal * qy / qz
+    col = model.principal_col + model.focal * qx / qz
+    return row, col
+
+
+def opt_forward_array(model: OpticalSensorModel, p) -> tuple[np.ndarray, np.ndarray]:
+    """Image coordinates (row, col) of ground points p (..., 3).
+
+    NaN where the point is not in front of the camera.
+    """
+    q = camera_frame(model, p)
+    q[~in_front(q)] = np.nan
+    return collinearity(model, q)
+
+
 def opt_forward(model: OpticalSensorModel, p: GroundPoint) -> ImagePoint:
     """Project a ground point through the central projection equations."""
-    d = p.as_array() - model.pc
-    q = model.rotation.T @ d  # camera-frame coordinates
-    if q[2] >= 0:
+    row, col = opt_forward_array(model, p.as_array())
+    if np.isnan(row):
         raise BehindCamera("projection denominator has the wrong sign")
-    x_img = model.focal * q[0] / q[2]
-    y_img = model.focal * q[1] / q[2]
-    return ImagePoint(
-        row=model.principal_row + y_img, col=model.principal_col + x_img
-    )
+    return ImagePoint(row=float(row), col=float(col))
+
+
+def opt_ray(model: OpticalSensorModel, row, col) -> np.ndarray:
+    """World direction (..., 3) of the viewing rays of pixels (row, col).
+
+    The direction points away from the camera, in front of it.  Rays that
+    run parallel to every height plane are NaN.
+    """
+    x_img = (np.asarray(col, dtype=float) - model.principal_col) / model.focal
+    y_img = (np.asarray(row, dtype=float) - model.principal_row) / model.focal
+    rot = model.rotation
+    # w = R q for the camera-frame direction q = -(x_img, y_img, 1), which
+    # has the in-front sign.  The einsum keeps each component of w
+    # contiguous in memory, so per-ray arithmetic over many rays runs along
+    # long rows instead of triples.
+    w = -(np.einsum("ij,j...->...i", rot[:, :2], np.array((x_img, y_img))) + rot[:, 2])
+    w[np.abs(w[..., 2]) < 1e-15 * np.linalg.norm(w, axis=-1)] = np.nan
+    return w
+
+
+def ray_at_height(origin, w, h) -> np.ndarray:
+    """Points (..., 3) where the rays origin + s w cross the planes z = h.
+
+    h broadcasts against w[..., 2] and is the third coordinate as given;
+    NaN rays give NaN x and y.
+    """
+    s = (h - origin[2]) / w[..., 2]
+    p = s[..., None] * w
+    p += origin
+    p[..., 2] = h
+    return p
 
 
 def opt_inverse_at_height(
     model: OpticalSensorModel, ip: ImagePoint, h: float
 ) -> GroundPoint:
     """Intersect the viewing ray of a pixel with the plane z = h."""
-    x_img = ip.col - model.principal_col
-    y_img = ip.row - model.principal_row
-    # camera-frame direction with the in-front sign (negative third component)
-    q_dir = -np.array([x_img / model.focal, y_img / model.focal, 1.0])
-    w = model.rotation @ q_dir
-    if abs(w[2]) < 1e-15 * np.linalg.norm(w):
+    p = ray_at_height(model.pc, opt_ray(model, ip.row, ip.col), h)
+    if np.isnan(p[0]):
         raise RayParallelToPlane(f"ray parallel to plane z = {h}")
-    s = (h - model.pc[2]) / w[2]
-    p = model.pc + s * w
     return GroundPoint(float(p[0]), float(p[1]), float(h))

@@ -24,6 +24,9 @@ from sarstereo.geometry import (
     OpticalSensorModel,
     SarObservation,
     SarSensorModel,
+    camera_frame,
+    collinearity,
+    in_front,
 )
 
 
@@ -88,16 +91,15 @@ def residuals(
     pa = p.as_array()
     s = sar_model.position(sar_obs.t)
     v = sar_model.v
-    vnorm = np.linalg.norm(v)
+    vnorm = np.sqrt(v.dot(v))
     d = pa - s
-    r_pred = np.linalg.norm(d)
+    r_pred = np.sqrt(d.dot(d))
     doppler_m = float(np.dot(v, d)) / vnorm
 
-    q = opt_model.rotation.T @ (pa - opt_model.pc)
-    if q[2] >= 0:
+    q = camera_frame(opt_model, pa)
+    if not in_front(q):
         raise BehindCamera("point behind the optical camera")
-    row_pred = opt_model.principal_row + opt_model.focal * q[1] / q[2]
-    col_pred = opt_model.principal_col + opt_model.focal * q[0] / q[2]
+    row_pred, col_pred = collinearity(opt_model, q)
 
     return np.array(
         [
@@ -121,12 +123,12 @@ def jacobian(
     pa = p.as_array()
     s = sar_model.position(sar_obs.t)
     v = sar_model.v
-    vnorm = np.linalg.norm(v)
+    vnorm = np.sqrt(v.dot(v))
     d = pa - s
-    r_pred = np.linalg.norm(d)
+    r_pred = np.sqrt(d.dot(d))
 
     rot = opt_model.rotation
-    q = rot.T @ (pa - opt_model.pc)
+    q = camera_frame(opt_model, pa)
     c = opt_model.focal
     # d(c*qi/q3)/dp = c*(R[:,i]*q3 - qi*R[:,2]) / q3^2
     drow = c * (rot[:, 1] * q[2] - q[1] * rot[:, 2]) / q[2] ** 2
@@ -190,9 +192,6 @@ def intersect(
             if trial_sse <= sse:
                 break
             alpha *= 0.5
-        else:
-            trial = p + alpha * step
-            trial_sse = sse_at(trial)
 
         p = p + alpha * step
         r = residuals(

@@ -169,6 +169,34 @@ def load_raster(path) -> Raster:
     return raster
 
 
+def bilinear(samples: np.ndarray, r, c, fill: float) -> np.ndarray:
+    """Vectorized bilinear sampling at fractional (row, col) positions.
+
+    Positions off the grid, NaN included, return fill.  A grid of one row or
+    one column interpolates along the other axis only.
+    """
+    rows, cols = samples.shape
+    r = np.asarray(r, dtype=float)
+    c = np.asarray(c, dtype=float)
+    inside = (r >= 0) & (r <= rows - 1) & (c >= 0) & (c <= cols - 1)
+    # any in-grid index will do for the positions that get fill
+    rc = np.where(inside, r, 0.0)
+    cc = np.where(inside, c, 0.0)
+    r0 = np.minimum(rc.astype(int), rows - 2) if rows > 1 else np.zeros_like(rc, int)
+    c0 = np.minimum(cc.astype(int), cols - 2) if cols > 1 else np.zeros_like(cc, int)
+    fr = rc - r0
+    fc = cc - c0
+    r1 = np.minimum(r0 + 1, rows - 1)
+    c1 = np.minimum(c0 + 1, cols - 1)
+    v = (
+        samples[r0, c0] * (1 - fr) * (1 - fc)
+        + samples[r1, c0] * fr * (1 - fc)
+        + samples[r0, c1] * (1 - fr) * fc
+        + samples[r1, c1] * fr * fc
+    )
+    return np.where(inside, v, fill)
+
+
 @dataclass(frozen=True)
 class GroundGrid:
     """A raster indexed by ground coordinates (cell centers on a square grid).
@@ -203,25 +231,7 @@ class GroundGrid:
         rows, cols = self.raster.samples.shape
         if not (0.0 <= r <= rows - 1 and 0.0 <= c <= cols - 1):
             raise OutsideDem(f"({x:.1f}, {y:.1f}) outside gridded coverage")
-        r0 = min(int(np.floor(r)), rows - 2) if rows > 1 else 0
-        c0 = min(int(np.floor(c)), cols - 2) if cols > 1 else 0
-        fr, fc = r - r0, c - c0
-        s = self.raster.samples
-        # separable bilinear, written out for the degenerate 1-row/col cases
-        if rows > 1 and cols > 1:
-            v = (
-                s[r0, c0] * (1 - fr) * (1 - fc)
-                + s[r0 + 1, c0] * fr * (1 - fc)
-                + s[r0, c0 + 1] * (1 - fr) * fc
-                + s[r0 + 1, c0 + 1] * fr * fc
-            )
-        elif rows > 1:
-            v = s[r0, c0] * (1 - fr) + s[r0 + 1, c0] * fr
-        elif cols > 1:
-            v = s[r0, c0] * (1 - fc) + s[r0, c0 + 1] * fc
-        else:
-            v = s[r0, c0]
-        return float(v)
+        return float(bilinear(self.raster.samples, r, c, np.nan))
 
 
 def to_db(raster: Raster, floor: float = 1e-6) -> Raster:

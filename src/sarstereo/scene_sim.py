@@ -25,10 +25,14 @@ from sarstereo.geometry import (
     ImagePoint,
     OpticalSensorModel,
     SarSensorModel,
+    model_to_sidecar,
     opt_forward,
+    opt_ray,
+    ray_at_height,
     sar_forward,
+    sar_forward_array,
 )
-from sarstereo.raster import GroundGrid, Raster
+from sarstereo.raster import GroundGrid, Raster, bilinear
 
 
 class SceneNotVisible(Exception):
@@ -91,29 +95,6 @@ class RenderNoise:
             raise ValueError("speckle_looks must be >= 1")
 
 
-def _bilinear(samples: np.ndarray, r, c, fill: float) -> np.ndarray:
-    """Vectorized bilinear sampling; positions off the grid return fill."""
-    rows, cols = samples.shape
-    r = np.asarray(r, dtype=float)
-    c = np.asarray(c, dtype=float)
-    inside = (r >= 0) & (r <= rows - 1) & (c >= 0) & (c <= cols - 1)
-    rc = np.clip(r, 0, rows - 1)
-    cc = np.clip(c, 0, cols - 1)
-    r0 = np.minimum(rc.astype(int), rows - 2) if rows > 1 else np.zeros_like(rc, int)
-    c0 = np.minimum(cc.astype(int), cols - 2) if cols > 1 else np.zeros_like(cc, int)
-    fr = rc - r0
-    fc = cc - c0
-    r1 = np.minimum(r0 + 1, rows - 1)
-    c1 = np.minimum(c0 + 1, cols - 1)
-    v = (
-        samples[r0, c0] * (1 - fr) * (1 - fc)
-        + samples[r1, c0] * fr * (1 - fc)
-        + samples[r0, c1] * (1 - fr) * fc
-        + samples[r1, c1] * fr * fc
-    )
-    return np.where(inside, v, fill)
-
-
 def make_scene(spec: SceneSpec) -> tuple[Raster, Raster]:
     """DEM (ground plane plus extruded boxes) and shared reflectance."""
     rows, cols = spec.shape
@@ -141,15 +122,6 @@ def make_scene(spec: SceneSpec) -> tuple[Raster, Raster]:
     return dem_raster, refl_raster
 
 
-def _grid_of(raster: Raster) -> GroundGrid:
-    return GroundGrid.from_raster(raster)
-
-
-def _dem_at(grid: GroundGrid, x, y, ground: float) -> np.ndarray:
-    r, c = (y - grid.y0) / grid.step, (x - grid.x0) / grid.step
-    return _bilinear(grid.raster.samples.astype(float), r, c, ground)
-
-
 def render_optical(
     dem: Raster,
     reflectance: Raster,
@@ -164,36 +136,31 @@ def render_optical(
     ground points project into the rendered image within a fraction of a
     pixel.
     """
-    grid = _grid_of(dem)
+    grid = GroundGrid.from_raster(dem)
     ground = float(dem.samples.min())
     h_top = float(dem.samples.max()) + 1e-3
     rows, cols = shape
 
     rr, cc = np.meshgrid(np.arange(rows, dtype=float),
                          np.arange(cols, dtype=float), indexing="ij")
-    x_img = (cc - model.principal_col) / model.focal
-    y_img = (rr - model.principal_row) / model.focal
-    dirs = np.stack([-x_img.ravel(), -y_img.ravel(),
-                     -np.ones(rows * cols)])
-    w = model.rotation @ dirs
-    if np.all(w[2] >= 0):
+    w = opt_ray(model, rr, cc)
+    if not np.any(w[..., 2] < 0):
         raise SceneNotVisible("camera does not look downward")
 
-    def ground_xy(h):
-        s = (h - model.pc[2]) / w[2]
-        return model.pc[0] + s * w[0], model.pc[1] + s * w[1]
+    def surface_at(h):
+        p = ray_at_height(model.pc, w, h)
+        return bilinear(dem.samples, *grid.cell_of(p[..., 0], p[..., 1]), ground)
 
     n_steps = max(2, min(160, int(np.ceil((h_top - ground) / (grid.step / 2)))))
     heights = np.linspace(h_top, ground, n_steps + 1)
-    hit_hi = np.full(rows * cols, ground)
-    hit_lo = np.full(rows * cols, ground)
-    undecided = np.ones(rows * cols, dtype=bool)
+    hit_hi = np.full(shape, ground)
+    hit_lo = np.full(shape, ground)
+    undecided = np.ones(shape, dtype=bool)
     prev_h = heights[0]
     for h in heights:
         if not undecided.any():
             break
-        x, y = ground_xy(h)
-        surf = _dem_at(grid, x, y, ground)
+        surf = surface_at(h)
         crossed = undecided & (surf >= h)
         hit_hi[crossed] = prev_h
         hit_lo[crossed] = h
@@ -203,23 +170,18 @@ def render_optical(
     lo, hi = hit_lo.copy(), hit_hi.copy()
     for _ in range(22):
         mid = 0.5 * (lo + hi)
-        x, y = ground_xy(mid)
-        below = _dem_at(grid, x, y, ground) >= mid
+        below = surface_at(mid) >= mid
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    h_hit = 0.5 * (lo + hi)
-    x, y = ground_xy(h_hit)
-    r_idx = (y - grid.y0) / grid.step
-    c_idx = (x - grid.x0) / grid.step
-    img = _bilinear(reflectance.samples.astype(float), r_idx, c_idx,
-                    float(reflectance.samples.mean()))
-    img = img.reshape(rows, cols)
+    p = ray_at_height(model.pc, w, 0.5 * (lo + hi))
+    img = bilinear(reflectance.samples, *grid.cell_of(p[..., 0], p[..., 1]),
+                   float(reflectance.samples.mean()))
     if noise.optical_sigma > 0:
         rng = np.random.default_rng(noise.seed + 1)
         img = img + rng.normal(0.0, noise.optical_sigma, img.shape)
     return Raster(
         samples=img.astype(np.float32),
-        sidecar={"optical_model": model.to_json_dict()},
+        sidecar=model_to_sidecar(model),
     )
 
 
@@ -258,7 +220,7 @@ def render_sar(
     cells are darkened, and gamma-distributed speckle with the configured
     number of looks multiplies the result.
     """
-    grid = _grid_of(dem)
+    grid = GroundGrid.from_raster(dem)
     rows_out, cols_out = shape
     q = max(1, int(supersample))
     sub = grid.step / q
@@ -266,11 +228,10 @@ def render_sar(
     x = grid.x0 - grid.step / 2 + (np.arange(cols_in * q) + 0.5) * sub
     y = grid.y0 - grid.step / 2 + (np.arange(rows_in * q) + 0.5) * sub
     xg, yg = np.meshgrid(x, y)
-    r_idx = (yg - grid.y0) / grid.step
-    c_idx = (xg - grid.x0) / grid.step
+    r_idx, c_idx = grid.cell_of(xg, yg)
     ground = float(dem.samples.min())
-    hg = _bilinear(dem.samples.astype(float), r_idx, c_idx, ground)
-    refl = _bilinear(reflectance.samples.astype(float), r_idx, c_idx, 0.0)
+    hg = bilinear(dem.samples, r_idx, c_idx, ground)
+    refl = bilinear(reflectance.samples, r_idx, c_idx, 0.0)
 
     # local incidence weighting: surface normal (-gx, -gy, 1) against the
     # direction back toward the sensor
@@ -288,27 +249,17 @@ def render_sar(
         shadowed = _shadow_mask(xg, hg, float(s_ref[0]), float(s_ref[2]))
         weight = np.where(shadowed, 0.03 * weight, weight)
 
-    # forward projection (constant velocity: closed-form zero-Doppler time)
-    v = model.v
-    v2 = float(np.dot(v, v))
-    dt = (
-        v[0] * (xg - model.s0[0])
-        + v[1] * (yg - model.s0[1])
-        + v[2] * (hg - model.s0[2])
-    ) / v2
-    sx = model.s0[0] + v[0] * dt
-    sy = model.s0[1] + v[1] * dt
-    sz = model.s0[2] + v[2] * dt
-    slant = np.sqrt((xg - sx) ** 2 + (yg - sy) ** 2 + (hg - sz) ** 2)
-    row = dt / model.az_time_per_row  # t0 cancels: dt is relative to t0
+    t, slant = sar_forward_array(model, np.stack([xg, yg, hg], axis=-1))
+    row = (t - model.t0) / model.az_time_per_row
     col = (slant - model.r_near) / model.range_per_col
     if row.min() > rows_out - 1 or row.max() < 0 or col.min() > cols_out - 1 or col.max() < 0:
         raise SceneOutsideSwath("scene footprint misses the SAR grid entirely")
 
     # energy conservation: a ground sub-cell of size sub x sub covers
     # sub*sin(incidence) of slant range and sub of azimuth
+    sz = model.position(t)[..., 2]
     sin_inc = np.sqrt(np.clip(1.0 - ((sz - hg) / slant) ** 2, 1e-6, 1.0))
-    vnorm = np.sqrt(v2)
+    vnorm = np.linalg.norm(model.v)
     density = (sub * sin_inc / model.range_per_col) * (
         sub / (vnorm * abs(model.az_time_per_row))
     )
@@ -337,7 +288,7 @@ def render_sar(
         img = img * rng.gamma(looks, 1.0 / looks, img.shape)
     return Raster(
         samples=img.astype(np.float32),
-        sidecar={"sar_model": model.to_json_dict()},
+        sidecar=model_to_sidecar(model),
     )
 
 
@@ -352,7 +303,9 @@ def canonical_scene_models(
 
     The SAR track runs along +y west of the scene looking right (east) at
     the requested incidence angle; azimuth and ground-range pixel spacings
-    both equal the scene GSD.  The SAR range window is sized from the
+    both equal the scene GSD.  The track starts at y = gsd / 2, so SAR row r
+    images the azimuth line y = (r + 1/2) gsd, the centre row of DEM and
+    optical row r.  The SAR range window is sized from the
     scene: near range is the slant range of the tallest building's roof
     height at the scene's near (west) edge, less ``margin_px`` columns, so
     no layover is clipped; far range is that of the ground at the far
@@ -376,7 +329,7 @@ def canonical_scene_models(
     sar_rows = int(round(ey / g))
     sar_cols = int(np.ceil((r_at(ex, h0) - r_near) / (g * np.sin(theta)))) + margin_px
     sar = SarSensorModel(
-        s0=(track_x, 0.0, sar_height),
+        s0=(track_x, 0.5 * g, sar_height),
         v=(0.0, vs, 0.0),
         t0=0.0,
         az_time_per_row=g / vs,
@@ -421,7 +374,7 @@ def _optical_occluded(grid: GroundGrid, ground: float, model, p: GroundPoint) ->
     xs = p.x + ts * d[0]
     ys = p.y + ts * d[1]
     zs = p.h + ts * d[2]
-    surf = _dem_at(grid, xs, ys, ground)
+    surf = bilinear(grid.raster.samples, *grid.cell_of(xs, ys), ground)
     return bool(np.any(surf > zs + 1e-6))
 
 
@@ -432,7 +385,7 @@ def _sar_shadowed(grid: GroundGrid, ground: float, model, p: GroundPoint) -> boo
     ts = np.linspace(0.0, 1.0, n, endpoint=False)[1:]
     xs = s[0] + ts * (p.x - s[0])
     ys = s[1] + ts * (p.y - s[1])
-    surf = _dem_at(grid, xs, ys, ground)
+    surf = bilinear(grid.raster.samples, *grid.cell_of(xs, ys), ground)
     beta_p = np.arctan2(dist, s[2] - p.h)
     beta = np.arctan2(np.hypot(xs - s[0], ys - s[1]), s[2] - surf)
     return bool(np.any(beta > beta_p + 1e-12))
@@ -452,7 +405,7 @@ def ground_truth_correspondences(
     with a reason code; optional raster shapes additionally reject points
     projecting outside either frame.
     """
-    grid = _grid_of(dem)
+    grid = GroundGrid.from_raster(dem)
     ground = float(dem.samples.min())
     pairs = []
     excluded = []

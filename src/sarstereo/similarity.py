@@ -420,16 +420,6 @@ def phase_congruency_maps(
     return pc, ori
 
 
-def phase_congruency(
-    p: Patch, scales: int = 4, orientations: int = 6
-) -> np.ndarray:
-    """Phase congruency map of a patch, values in [0, 1]."""
-    if p.template_size < 32:
-        raise ValueError("patch side must be at least 32 for the filter bank")
-    pc, _ = phase_congruency_maps(p.samples, scales, orientations)
-    return pc
-
-
 HOPC_PC_FLOOR = 0.1
 
 

@@ -248,6 +248,29 @@ class TestAccuracyGrid:
             accuracy_grid(SAME, (0.0, 45.0), (5.0, 15.0), (4, 4),
                           hs=515e3, ho=770e3)
 
+    @pytest.mark.parametrize("mode, alphas, kwargs", [
+        ("opposite_sde", (10.0, 40.0), {}),
+        (OPPOSITE, (10.0, 40.0), {"h": 600e3}),
+        (OPPOSITE, (10.0, 40.0), {"sigma0": -1.0}),
+        # every cell lacks a viewing side; the input is checked all the same
+        ("opposite_sde", (0.0, 0.0), {}),
+    ])
+    def test_invalid_input_raises(self, mode, alphas, kwargs):
+        with pytest.raises(ValueError):
+            accuracy_grid(mode, (20.0, 50.0), alphas, (4, 4),
+                          hs=500e3, ho=700e3, **kwargs)
+
+    def test_cells_without_viewing_side_stay_flagged(self):
+        same = accuracy_grid(SAME, (20.0, 50.0), (-20.0, 20.0), (4, 5),
+                             hs=515e3, ho=770e3)
+        assert same.alpha_deg[2] == 0.0
+        assert same.flags[:, 2].all() and np.isnan(same.sigma_ratio[:, 2]).all()
+        assert not np.delete(same.flags, 2, axis=1).any()
+        opposite = accuracy_grid(OPPOSITE, (20.0, 50.0), (-20.0, 20.0), (4, 5),
+                                 hs=515e3, ho=770e3)
+        assert opposite.flags[:, :3].all() and np.isnan(opposite.sigma_ratio[:, :3]).all()
+        assert not opposite.flags[:, 3:].any()
+
 
 class TestConfigValidation:
     def test_rejects_bad_modes_and_angles(self):

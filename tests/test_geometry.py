@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from sarstereo.geometry import (
@@ -13,16 +16,22 @@ from sarstereo.geometry import (
     ImagePoint,
     NoIntersection,
     OpticalSensorModel,
+    RayParallelToPlane,
     SarObservation,
     SarSensorModel,
-    load_model_json,
+    model_from_sidecar,
+    model_to_sidecar,
     opt_forward,
+    opt_forward_array,
     opt_inverse_at_height,
+    opt_ray,
+    ray_at_height,
     rotation_from_angles,
     sar_forward,
+    sar_forward_array,
     sar_inverse_at_height,
-    save_model_json,
 )
+from sarstereo.raster import Raster, load_raster, save_raster
 
 
 @pytest.fixture
@@ -253,29 +262,38 @@ class TestRoundTripVolume:
             assert np.allclose(g.as_array(), p.as_array(), atol=1e-6)
 
 
+def save_with_model(model, path):
+    save_raster(Raster(samples=np.zeros((2, 2), np.float32),
+                       sidecar=model_to_sidecar(model)), path)
+
+
 class TestSerialization:
     def test_sar_model_sidecar_round_trip(self, sar_model, tmp_path):
-        path = tmp_path / "sar.json"
-        save_model_json(sar_model, path)
-        loaded = load_model_json(path)
+        path = tmp_path / "sar.rflt"
+        save_with_model(sar_model, path)
+        loaded = model_from_sidecar(load_raster(path).sidecar)
         assert isinstance(loaded, SarSensorModel)
         assert np.allclose(loaded.s0, sar_model.s0)
         assert np.allclose(loaded.v, sar_model.v)
         assert loaded.look_side == sar_model.look_side
         # field names exactly as in the model definition
-        doc = json.loads(path.read_text())
+        doc = json.loads((tmp_path / "sar.rflt.json").read_text())
         assert set(doc["sar_model"]) == {
             "s0", "v", "t0", "az_time_per_row", "r_near",
             "range_per_col", "look_side",
         }
 
     def test_optical_model_sidecar_round_trip(self, nadir_camera, tmp_path):
-        path = tmp_path / "opt.json"
-        save_model_json(nadir_camera, path)
-        loaded = load_model_json(path)
+        path = tmp_path / "opt.rflt"
+        save_with_model(nadir_camera, path)
+        loaded = model_from_sidecar(load_raster(path).sidecar)
         assert isinstance(loaded, OpticalSensorModel)
         assert np.allclose(loaded.pc, nadir_camera.pc)
         assert loaded.focal == nadir_camera.focal
+
+    def test_sidecar_without_model_rejected(self):
+        with pytest.raises(ValueError):
+            model_from_sidecar({"geotransform": {"x0": 0.5, "y0": 0.5, "step": 1.0}})
 
     def test_invalid_models_rejected(self):
         with pytest.raises(ValueError):
@@ -284,3 +302,133 @@ class TestSerialization:
             OpticalSensorModel(pc=(0, 0, 100), focal=-1.0)
         with pytest.raises(ValueError):
             SarSensorModel(s0=(0, 0, 0), v=(1, 0, 0), range_per_col=0.0)
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sar_models(draw):
+    heading = draw(finite(-np.pi, np.pi))
+    speed = draw(finite(6000.0, 8000.0))
+    return SarSensorModel(
+        s0=(draw(finite(-1e5, 1e5)), draw(finite(-1e5, 1e5)), draw(finite(4e5, 8e5))),
+        v=(speed * np.cos(heading), speed * np.sin(heading), draw(finite(-50.0, 50.0))),
+        t0=draw(finite(-10.0, 10.0)),
+        look_side=draw(st.sampled_from(["left", "right"])),
+    )
+
+
+@st.composite
+def sar_model_and_points(draw, n=8):
+    """A model and points on its look side, 1-500 km across track."""
+    model = draw(sar_models())
+    v_h = model.v[:2] / np.linalg.norm(model.v[:2])
+    side = 1.0 if model.look_side == "right" else -1.0
+    right = side * np.array([v_h[1], -v_h[0]])
+    along = draw(arrays(float, n, elements=finite(-1e4, 1e4)))
+    across = draw(arrays(float, n, elements=finite(1e3, 5e5)))
+    h = draw(arrays(float, n, elements=finite(0.0, 500.0)))
+    xy = model.s0[:2] + along[:, None] * v_h + across[:, None] * right
+    return model, np.column_stack([xy, h])
+
+
+@st.composite
+def camera_and_points(draw, n=8):
+    """A camera tilted under 0.3 rad and points within 0.2 height of nadir."""
+    camera = OpticalSensorModel(
+        pc=(draw(finite(-1e3, 1e3)), draw(finite(-1e3, 1e3)), draw(finite(1e3, 8e5))),
+        phi=draw(finite(-0.3, 0.3)),
+        omega=draw(finite(-0.3, 0.3)),
+        kappa=draw(finite(-np.pi, np.pi)),
+        focal=draw(finite(1e3, 1e6)),
+        principal_row=draw(finite(0.0, 1e4)),
+        principal_col=draw(finite(0.0, 1e4)),
+    )
+    h = draw(arrays(float, n, elements=finite(0.0, 500.0)))
+    reach = 0.2 * (camera.pc[2] - h)
+    dx = draw(arrays(float, n, elements=finite(-1.0, 1.0))) * reach
+    dy = draw(arrays(float, n, elements=finite(-1.0, 1.0))) * reach
+    return camera, np.column_stack([camera.pc[0] + dx, camera.pc[1] + dy, h])
+
+
+def close(a, b):
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+class TestArrayCore:
+    """Array forms against their scalar wrappers, and round trips."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sar_model_and_points())
+    def test_sar_forward_array_matches_scalar(self, case):
+        model, pts = case
+        t, r = sar_forward_array(model, pts)
+        for i, p in enumerate(pts):
+            obs = sar_forward(model, GroundPoint(*p))
+            close(t[i], obs.t)
+            close(r[i], obs.r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(camera_and_points())
+    def test_opt_forward_array_matches_scalar(self, case):
+        camera, pts = case
+        row, col = opt_forward_array(camera, pts)
+        for i, p in enumerate(pts):
+            ip = opt_forward(camera, GroundPoint(*p))
+            close(row[i], ip.row)
+            close(col[i], ip.col)
+
+    @settings(max_examples=60, deadline=None)
+    @given(camera_and_points())
+    def test_opt_inverse_array_matches_scalar(self, case):
+        camera, pts = case
+        row, col = opt_forward_array(camera, pts)
+        ground = ray_at_height(camera.pc, opt_ray(camera, row, col), pts[:, 2])
+        for i in range(len(pts)):
+            g = opt_inverse_at_height(camera, ImagePoint(row[i], col[i]), pts[i, 2])
+            close(ground[i], g.as_array())
+
+    @settings(max_examples=60, deadline=None)
+    @given(sar_model_and_points())
+    def test_sar_round_trip(self, case):
+        model, pts = case
+        t, r = sar_forward_array(model, pts)
+        for i, p in enumerate(pts):
+            q = sar_inverse_at_height(model, SarObservation(t[i], r[i]), p[2])
+            np.testing.assert_allclose(q.as_array(), p, rtol=0, atol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(camera_and_points())
+    def test_optical_round_trip(self, case):
+        camera, pts = case
+        row, col = opt_forward_array(camera, pts)
+        ground = ray_at_height(camera.pc, opt_ray(camera, row, col), pts[:, 2])
+        np.testing.assert_allclose(ground, pts, rtol=0, atol=1e-6)
+
+    def test_position_broadcasts_over_times(self, sar_model):
+        ts = np.array([[-1.0, 0.0], [0.5, 2.0]])
+        pos = sar_model.position(ts)
+        assert pos.shape == (2, 2, 3)
+        for idx in np.ndindex(ts.shape):
+            assert np.array_equal(pos[idx], sar_model.position(float(ts[idx])))
+
+    def test_behind_camera_is_nan_in_array_form(self, nadir_camera):
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2000.0], [5.0, 5.0, 1000.0]])
+        row, col = opt_forward_array(nadir_camera, pts)
+        assert np.isfinite([row[0], col[0]]).all()
+        assert np.isnan(row[1:]).all() and np.isnan(col[1:]).all()
+        for p in pts[1:]:
+            with pytest.raises(BehindCamera):
+                opt_forward(nadir_camera, GroundPoint(*p))
+
+    def test_horizontal_ray_is_nan_in_array_form(self):
+        # camera axis pitched to the horizon: the principal ray never
+        # reaches a height plane
+        camera = OpticalSensorModel(pc=(0.0, 0.0, 100.0), phi=np.pi / 2, focal=1000.0)
+        w = opt_ray(camera, np.array([0.0, 0.0]), np.array([0.0, 0.0]))
+        ground = ray_at_height(camera.pc, w, 0.0)
+        assert np.isnan(ground[:, :2]).all() and (ground[:, 2] == 0.0).all()
+        with pytest.raises(RayParallelToPlane):
+            opt_inverse_at_height(camera, ImagePoint(0.0, 0.0), 0.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sarstereo.raster import (
     BadMagic,
@@ -10,6 +12,7 @@ from sarstereo.raster import (
     OutsideDem,
     Raster,
     TruncatedPayload,
+    bilinear,
     load_raster,
     save_raster,
     to_db,
@@ -130,3 +133,31 @@ class TestGroundGrid:
         assert (g.x0, g.y0, g.step) == (5.0, 6.0, 2.0)
         with pytest.raises(ValueError):
             GroundGrid.from_raster(Raster(samples=np.zeros((2, 2), np.float32)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           step=st.floats(0.1, 10.0), x0=st.floats(-1e3, 1e3), y0=st.floats(-1e3, 1e3))
+    def test_value_at_equals_shared_sampler(self, rows, cols, seed, step, x0, y0):
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(0.0, 50.0, (rows, cols)).astype(np.float32)
+        g = GroundGrid(raster=Raster(samples=samples), x0=x0, y0=y0, step=step)
+        r = rng.uniform(0, rows - 1, 16)
+        c = rng.uniform(0, cols - 1, 16)
+        expected = bilinear(samples, r, c, np.nan)
+        for k in range(16):
+            x, y = x0 + c[k] * step, y0 + r[k] * step
+            rk, ck = g.cell_of(x, y)
+            # the sampler at the cell the ground position maps back to
+            assert g.value_at(x, y) == bilinear(samples, rk, ck, np.nan)
+            assert g.value_at(x, y) == pytest.approx(expected[k], rel=1e-9, abs=1e-9)
+
+
+class TestBilinear:
+    def test_off_grid_and_nan_positions_get_fill(self):
+        s = np.array([[0.0, 1.0], [2.0, 3.0]], dtype=np.float32)
+        out = bilinear(s, [0.5, -0.1, 0.5, np.nan, 1.0], [0.5, 0.5, 1.2, 0.5, 1.0], -7.0)
+        assert out.tolist() == [1.5, -7.0, -7.0, -7.0, 3.0]
+
+    def test_single_row_interpolates_along_columns(self):
+        s = np.array([[0.0, 4.0, 8.0]], dtype=np.float32)
+        assert bilinear(s, [0.0, 0.0], [0.25, 2.0], np.nan).tolist() == [1.0, 8.0]

@@ -187,6 +187,21 @@ class TestRenderSar:
         )
         assert truth.excluded == ()
 
+    def test_sar_rows_align_with_optical_rows(self):
+        # SAR row r images the centre line of DEM row r, like optical row r,
+        # so a point on the last DEM row lands inside both rasters
+        spec = SceneSpec(extent=(100, 80), texture_seed=4)
+        dem, _ = make_scene(spec)
+        sar, opt, sar_shape, opt_shape = canonical_scene_models(spec)
+        edge = GroundPoint(50.5, 79.5, 0.0)
+        truth = ground_truth_correspondences(
+            dem, sar, opt, [edge], sar_shape=sar_shape, opt_shape=opt_shape
+        )
+        assert truth.excluded == ()
+        for p in (edge, GroundPoint(50.5, 0.5, 0.0), GroundPoint(13.2, 41.7, 0.0)):
+            sar_row = sar.pixel_from_obs(sar_forward(sar, p)).row
+            assert sar_row == pytest.approx(opt_forward(opt, p).row, abs=1e-9)
+
     def test_scene_outside_swath(self):
         spec = SceneSpec(extent=(50, 50))
         dem, refl = make_scene(spec)

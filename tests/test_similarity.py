@@ -16,7 +16,7 @@ from sarstereo.similarity import (
     hopc_descriptor,
     ncc,
     nmi,
-    phase_congruency,
+    phase_congruency_maps,
     sift_descriptor,
 )
 
@@ -179,17 +179,17 @@ class TestSift:
 
 class TestPhaseCongruency:
     def test_constant_patch_near_zero(self):
-        pc = phase_congruency(Patch(np.full((65, 65), 9.0)))
+        pc = phase_congruency_maps(np.full((65, 65), 9.0))[0]
         assert pc.max() < 1e-3
 
     def test_values_in_unit_interval(self, textured):
-        pc = phase_congruency(textured)
+        pc = phase_congruency_maps(textured.samples)[0]
         assert pc.min() >= 0.0 and pc.max() <= 1.0
 
     def test_step_edge_localization(self):
         img = np.zeros((65, 65))
         img[:, 33:] = 1.0
-        pc = phase_congruency(Patch(img))
+        pc = phase_congruency_maps(img)[0]
         # interior argmax per row (FFT periodicity makes the border a seam)
         inner = pc[:, 8:57]
         for r in range(8, 57):
@@ -198,13 +198,9 @@ class TestPhaseCongruency:
 
     def test_contrast_invariance(self):
         base = smooth_field(65, seed=3, hi=1.0)
-        a = phase_congruency(Patch(base))
-        b = phase_congruency(Patch(base * 250.0))
+        a = phase_congruency_maps(base)[0]
+        b = phase_congruency_maps(base * 250.0)[0]
         assert np.abs(a - b).max() < 1e-6
-
-    def test_small_patch_rejected(self):
-        with pytest.raises(ValueError):
-            phase_congruency(Patch(np.zeros((31, 31))))
 
 
 class TestHopc:
@@ -234,6 +230,10 @@ class TestHopc:
         a = hopc_descriptor(textured)
         b = hopc_descriptor(Patch(textured.samples.copy()))
         assert a.values.tobytes() == b.values.tobytes()
+
+    def test_small_patch_rejected(self):
+        with pytest.raises(ValueError):
+            hopc_descriptor(Patch(np.zeros((31, 31))))
 
 
 class TestDescriptorSimilarity:
