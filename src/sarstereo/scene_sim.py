@@ -9,8 +9,9 @@ multiplicative speckle).  The two renderers apply different radiometric
 transfer functions on purpose, so similarity measures face a genuinely
 multimodal problem while the geometry stays exact.
 
-The SAR shadow model assumes a north-aligned track (velocity along +y,
-look direction +/-x), which canonical_scene_models always produces.
+Truth visibility holds for any track and camera.  Only the SAR shadow mask
+assumes a north-aligned track (v along +/-y, v_z = 0, as canonical_scene_models
+makes it), and render_sar raises ValueError for any other track with shadows on.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from sarstereo.geometry import (
+    BehindCamera,
     GroundPoint,
     ImagePoint,
     OpticalSensorModel,
@@ -220,6 +222,8 @@ def render_sar(
     cells are darkened, and gamma-distributed speckle with the configured
     number of looks multiplies the result.
     """
+    if noise.enable_shadow_layover and (model.v[0] != 0 or model.v[2] != 0):
+        raise ValueError("shadow mask assumes a north-aligned track (v along +/-y, v_z = 0)")
     grid = GroundGrid.from_raster(dem)
     rows_out, cols_out = shape
     q = max(1, int(supersample))
@@ -365,30 +369,17 @@ class TruthSet:
     excluded: tuple[tuple[GroundPoint, str], ...] = field(default_factory=tuple)
 
 
-def _optical_occluded(grid: GroundGrid, ground: float, model, p: GroundPoint) -> bool:
-    d = model.pc - p.as_array()
-    length = np.linalg.norm(d[:2])
-    n = max(4, int(length / (grid.step / 2)))
-    # walk from just above the point toward the camera
-    ts = np.linspace(0.0, 1.0, n, endpoint=False)[1:]
-    xs = p.x + ts * d[0]
-    ys = p.y + ts * d[1]
-    zs = p.h + ts * d[2]
+def _blocked(grid: GroundGrid, ground: float, top: float, p, q) -> bool:
+    """Whether the DEM rises above the segment from point p toward q."""
+    d = q - p
+    n = max(4, int(np.hypot(d[0], d[1]) / (grid.step / 2)))
+    # half-cell samples up to where the segment clears the DEM's top; no
+    # surface rises above that, so nothing further along can block it
+    k = n if d[2] <= 0 else min(n, int(np.ceil(n * (top - p[2]) / d[2])) + 1)
+    ts = np.arange(1, k) * (1.0 / n)
+    xs, ys = p[0] + ts * d[0], p[1] + ts * d[1]
     surf = bilinear(grid.raster.samples, *grid.cell_of(xs, ys), ground)
-    return bool(np.any(surf > zs + 1e-6))
-
-
-def _sar_shadowed(grid: GroundGrid, ground: float, model, p: GroundPoint) -> bool:
-    s = model.position(sar_forward(model, p).t)
-    dist = np.hypot(p.x - s[0], p.y - s[1])
-    n = max(4, int(dist / (grid.step / 2)))
-    ts = np.linspace(0.0, 1.0, n, endpoint=False)[1:]
-    xs = s[0] + ts * (p.x - s[0])
-    ys = s[1] + ts * (p.y - s[1])
-    surf = bilinear(grid.raster.samples, *grid.cell_of(xs, ys), ground)
-    beta_p = np.arctan2(dist, s[2] - p.h)
-    beta = np.arctan2(np.hypot(xs - s[0], ys - s[1]), s[2] - surf)
-    return bool(np.any(beta > beta_p + 1e-12))
+    return bool(np.any(surf > p[2] + ts * d[2] + 1e-6))
 
 
 def ground_truth_correspondences(
@@ -401,23 +392,30 @@ def ground_truth_correspondences(
 ) -> TruthSet:
     """Exact image-coordinate pairs of visible ground points.
 
-    Points occluded for the optical camera or radar-shadowed are excluded
-    with a reason code; optional raster shapes additionally reject points
-    projecting outside either frame.
+    Points radar-shadowed, occluded for the optical camera or behind it are
+    excluded with a reason code; optional raster shapes additionally reject
+    points projecting outside either frame.
     """
     grid = GroundGrid.from_raster(dem)
     ground = float(dem.samples.min())
+    top = float(dem.samples.max())
     pairs = []
     excluded = []
     for p in points:
-        if _sar_shadowed(grid, ground, sar_model, p):
+        obs = sar_forward(sar_model, p)
+        a = p.as_array()
+        if _blocked(grid, ground, top, a, sar_model.position(obs.t)):
             excluded.append((p, "sar_shadow"))
             continue
-        if _optical_occluded(grid, ground, opt_model, p):
+        if _blocked(grid, ground, top, a, opt_model.pc):
             excluded.append((p, "optical_occluded"))
             continue
-        sar_ip = sar_model.pixel_from_obs(sar_forward(sar_model, p))
-        opt_ip = opt_forward(opt_model, p)
+        try:
+            opt_ip = opt_forward(opt_model, p)
+        except BehindCamera:
+            excluded.append((p, "behind_camera"))
+            continue
+        sar_ip = sar_model.pixel_from_obs(obs)
         if sar_shape is not None and not (
             0 <= sar_ip.row <= sar_shape[0] - 1
             and 0 <= sar_ip.col <= sar_shape[1] - 1

@@ -1,6 +1,9 @@
 """Tests for the package metadata in pyproject.toml."""
 
+import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,3 +18,23 @@ def test_console_scripts_resolve():
         module, _, attr = target.partition(":")
         entry = getattr(importlib.import_module(module), attr, None)
         assert callable(entry), f"console script {name!r} points at {target!r}"
+
+
+def test_every_import_is_declared():
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+                for r in requirements}
+    allowed = set(sys.stdlib_module_names) | {"sarstereo"} | declared
+    for path in sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in allowed, f"{path.relative_to(root)} imports undeclared {top!r}"

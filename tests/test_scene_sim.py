@@ -1,9 +1,11 @@
 """Tests for the synthetic scene generator and dual-sensor renderers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sarstereo.geometry import GroundPoint, opt_forward, sar_forward
+from sarstereo.geometry import GroundPoint, OpticalSensorModel, opt_forward, sar_forward
 from sarstereo.intersection import ObservationWeights, intersect
 from sarstereo.raster import GroundGrid, Raster
 from sarstereo.scene_sim import (
@@ -215,6 +217,32 @@ class TestRenderSar:
         with pytest.raises(SceneOutsideSwath):
             render_sar(dem, refl, far, RenderNoise(), (50, 50))
 
+    @pytest.mark.parametrize("track", ["rotated", "climbing"])
+    def test_shadow_mask_needs_north_aligned_track(self, track):
+        spec = SceneSpec(
+            extent=(120, 120), texture_seed=6,
+            buildings=(Building(rect=(50, 40, 70, 80), height=10.0),),
+        )
+        dem, refl = make_scene(spec)
+        sar, _, sar_shape, _ = canonical_scene_models(spec)
+        if track == "rotated":
+            # 3 degrees about the scene centre, so the swath still covers it
+            a = np.deg2rad(3.0)
+            rot = np.array([[np.cos(a), -np.sin(a), 0.0],
+                            [np.sin(a), np.cos(a), 0.0],
+                            [0.0, 0.0, 1.0]])
+            centre = np.array([60.0, 60.0, 0.0])
+            sar = dataclasses.replace(sar, s0=centre + rot @ (sar.s0 - centre),
+                                      v=rot @ sar.v)
+        else:
+            sar = dataclasses.replace(sar, v=sar.v + np.array([0.0, 0.0, 0.5]))
+        with pytest.raises(ValueError, match="north-aligned"):
+            render_sar(dem, refl, sar, RenderNoise(), sar_shape)
+        img = render_sar(dem, refl, sar, RenderNoise(enable_shadow_layover=False),
+                         sar_shape)
+        assert img.samples.shape == sar_shape
+        assert np.all(np.isfinite(img.samples)) and img.samples.max() > 0
+
     def test_deterministic_with_seed(self, small_scene):
         spec, dem, refl, sar, opt, sar_shape, _ = small_scene
         a = render_sar(dem, refl, sar, RenderNoise(speckle_looks=4, seed=9),
@@ -272,3 +300,111 @@ class TestGroundTruth:
             assert 0 <= pair.sar.col <= sar_shape[1] - 1
             assert 0 <= pair.opt.row <= opt_shape[0] - 1
             assert 0 <= pair.opt.col <= opt_shape[1] - 1
+
+
+def _city_spec(extent=(90.0, 30.0)):
+    # the 12.5 m box shadows the west edge of the 7 m roof next to it, and
+    # one shadowed cell centre's ray passes only 0.11 m under the 20.1 m roof
+    return SceneSpec(
+        extent=extent, texture_seed=8,
+        buildings=(Building(rect=(10, 5, 22, 25), height=12.5),
+                   Building(rect=(24, 3, 38, 20), height=7.0),
+                   Building(rect=(60, 8, 75, 28), height=20.1)),
+    )
+
+
+def _cell_centre_points(dem: Raster):
+    grid = GroundGrid.from_raster(dem)
+    rows, cols = dem.samples.shape
+    return [GroundPoint(grid.x0 + c * grid.step, grid.y0 + r * grid.step,
+                        float(dem.samples[r, c]))
+            for r in range(rows) for c in range(cols)]
+
+
+def _reasons(truth: TruthSet) -> dict:
+    out = {pair.ground: "kept" for pair in truth.pairs}
+    out.update(dict(truth.excluded))
+    return out
+
+
+class TestTruthVisibility:
+    def test_point_behind_camera_excluded(self):
+        spec = SceneSpec(extent=(200.0, 200.0))
+        dem, _ = make_scene(spec)
+        sar, _, _, _ = canonical_scene_models(spec)
+        # looks east, 10 degrees below the horizon
+        cam = OpticalSensorModel(pc=(100.0, 100.0, 20.0), phi=np.deg2rad(80.0),
+                                 kappa=np.pi, focal=500.0)
+        front, behind = GroundPoint(150.0, 100.0, 0.0), GroundPoint(10.0, 100.0, 0.0)
+        truth = ground_truth_correspondences(dem, sar, cam, [front, behind])
+        assert [pair.ground for pair in truth.pairs] == [front]
+        assert truth.excluded == ((behind, "behind_camera"),)
+
+    @pytest.mark.parametrize("elev_deg", [30.0, 50.0])
+    def test_oblique_camera_occlusion_behind_box(self, elev_deg):
+        h = 20.0
+        spec = SceneSpec(
+            extent=(200.0, 200.0), texture_seed=9,
+            buildings=(Building(rect=(100, 60, 140, 140), height=h),),
+        )
+        dem, _ = make_scene(spec)
+        sar, _, _, _ = canonical_scene_models(spec)
+        # camera 5 km east of the box, seeing it at elevation eps, looking west
+        eps = np.deg2rad(elev_deg)
+        dist = 5000.0
+        cam = OpticalSensorModel(pc=(140.0 + dist, 100.0, dist * np.tan(eps)),
+                                 phi=np.pi / 2 - eps, focal=1000.0)
+        # a ground point d west of the box sees the camera over the roof only
+        # when d tan(eps) > h
+        reach = h / np.tan(eps)
+        near = [GroundPoint(100.0 - f * 0.5 * reach, y, 0.0)
+                for f in (0.1, 0.5, 0.99) for y in (65.0, 100.0, 135.0)]
+        far = [GroundPoint(100.0 - f * 1.5 * reach, y, 0.0)
+               for f in (1.01, 1.5, 2.0) for y in (65.0, 100.0, 135.0)]
+        truth = ground_truth_correspondences(dem, sar, cam, near + far)
+        reasons = _reasons(truth)
+        assert all(reasons[p] == "optical_occluded" for p in near)
+        assert all(reasons[p] == "kept" for p in far)
+
+    def test_transposed_scene_gives_same_reasons(self):
+        spec = _city_spec(extent=(90.0, 40.0))
+        dem, _ = make_scene(spec)
+        sar, opt, _, _ = canonical_scene_models(spec)
+        dem_t = Raster(samples=np.ascontiguousarray(dem.samples.T), sidecar=dem.sidecar)
+        # the track along +x south of the transposed scene looks north: left
+        (sx, sy, sz), vs = sar.s0, sar.v[1]
+        sar_t = dataclasses.replace(sar, s0=(sy, sx, sz), v=(vs, 0.0, 0.0),
+                                    look_side="left")
+        opt_t = dataclasses.replace(opt, pc=(opt.pc[1], opt.pc[0], opt.pc[2]))
+        rng = np.random.default_rng(21)
+        cells = _cell_centre_points(dem)
+        pts = [cells[i] for i in rng.choice(len(cells), 300, replace=False)]
+        pts_t = [GroundPoint(p.y, p.x, p.h) for p in pts]
+        reasons = _reasons(ground_truth_correspondences(dem, sar, opt, pts))
+        reasons_t = _reasons(ground_truth_correspondences(dem_t, sar_t, opt_t, pts_t))
+        assert [reasons[p] for p in pts] == [reasons_t[p] for p in pts_t]
+        assert list(reasons.values()).count("sar_shadow") >= 10
+
+    def test_sar_shadow_matches_horizon_along_row(self):
+        spec = _city_spec()
+        dem, _ = make_scene(spec)
+        sar, opt, _, _ = canonical_scene_models(spec)
+        grid = GroundGrid.from_raster(dem)
+        tx, tz = sar.s0[0], sar.s0[2]
+
+        def horizon_shadowed(p):
+            # the zero-Doppler plane of p is its DEM row; p is shadowed when
+            # a cell between the track and p subtends a larger off-nadir angle
+            heights = dem.samples[int(round((p.y - grid.y0) / grid.step))].astype(float)
+            xs = grid.x0 + np.arange(heights.size) * grid.step
+            nearer = xs < p.x
+            beta = np.arctan2(xs[nearer] - tx, tz - heights[nearer])
+            return bool(np.any(beta > np.arctan2(p.x - tx, tz - p.h) + 1e-12))
+
+        pts = _cell_centre_points(dem)
+        reasons = _reasons(ground_truth_correspondences(dem, sar, opt, pts))
+        shadowed = [horizon_shadowed(p) for p in pts]
+        assert [reasons[p] == "sar_shadow" for p in pts] == shadowed
+        # shadow on the ground and on the lower roof both occur
+        assert any(s and p.h == 0 for p, s in zip(pts, shadowed))
+        assert any(s and p.h == 7.0 for p, s in zip(pts, shadowed))
