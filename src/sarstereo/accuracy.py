@@ -26,6 +26,10 @@ for range noise sigma_R = sigma_0 and angular noise sigma_alpha = f * sigma_0
 
 Configurations where the ray grazes the circle (opposite-side
 theta + alpha = 90 deg) have no usable intersection and raise GlancingOrMiss.
+
+One broadcast path serves the grid and the scalar API: ``accuracy_grid``
+evaluates its whole (theta, alpha) mesh at once, and the scalar functions
+are 1-cell calls of the same path, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -81,25 +85,26 @@ class StereoConfig:
 
     def scene(self) -> tuple[float, float, float, float, float, float]:
         """(Xs, Zs, Xo, Zo, k, R) of the in-plane construction."""
-        r = self.slant_range
-        xs = r * np.sin(self.theta)
-        zs = self.hs
-        zo = self.ho
-        if self.mode == OPPOSITE:
-            xo = -(self.ho - self.h) * np.tan(self.alpha)
-            k = -1.0 / np.tan(self.alpha)
-        else:
-            xo = (self.ho - self.h) * np.tan(self.alpha)
-            k = 1.0 / np.tan(self.alpha)
-        return xs, zs, xo, zo, k, r
+        return _scene(self.mode, self.theta, self.alpha, self.hs, self.ho, self.h)
+
+
+def _scene(mode, theta, alpha, hs, ho, h):
+    """(Xs, Zs, Xo, Zo, k, R) of the construction, broadcast over the inputs."""
+    sign = -1.0 if mode == OPPOSITE else 1.0
+    r = (hs - h) / np.cos(theta)
+    xs = r * np.sin(theta)
+    xo = sign * (ho - h) * np.tan(alpha)
+    k = sign / np.tan(alpha)
+    return xs, hs, xo, ho, k, r
 
 
 def _solve_ray_circle(xs, zs, xo, zo, k, r, z_ref, z_cap):
     """Intersect the line z = k (x - xo) + zo with the circle around (xs, zs).
 
-    Returns the (x, z) root with z <= z_cap nearest (0, z_ref).  Written to
-    be numerically stable at megameter scale and to broadcast over arrays
-    (used by the Monte-Carlo cross-check).
+    Returns (x, z, miss): the root with z <= z_cap nearest (0, z_ref), and
+    whether the ray misses or grazes the circle (x, z are then the foot of
+    the perpendicular from the center).  Written to be numerically stable at
+    megameter scale and to broadcast over arrays.
     """
     xs, zs, xo, zo, k, r = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (xs, zs, xo, zo, k, r))
@@ -129,34 +134,44 @@ def _solve_ray_circle(xs, zs, xo, zo, k, r, z_ref, z_cap):
     pick = np.argmin(d_cand, axis=0)
     x = np.take_along_axis(x_cand, pick[None], axis=0)[0]
     z = np.take_along_axis(z_cand, pick[None], axis=0)[0]
-    if np.isscalar(miss) or miss.ndim == 0:
-        if miss:
-            raise GlancingOrMiss("discriminant < 0: ray misses range circle")
-        return float(x), float(z)
     return x, z, miss
+
+
+def _partials(mode, theta, alpha, hs, ho, h):
+    """(x, z, dh/dR, dh/dalpha, miss) of the construction, broadcast.
+
+    miss marks a ray that misses the circle or meets it at a tangent,
+    |den| < 1e-9 R.  Misses and cells without a viewing side (alpha = 0)
+    divide by zero or overflow; callers reject or flag both, so the
+    warnings are silenced.
+    """
+    with np.errstate(all="ignore"):
+        xs, zs, xo, zo, k, r = _scene(mode, theta, alpha, hs, ho, h)
+        x, z, miss = _solve_ray_circle(xs, zs, xo, zo, k, r, h, np.minimum(hs, ho))
+        den = (xs - x) + k * (zs - z)
+        miss = miss | (np.abs(den) < 1e-9 * r)
+        dh_dr = -r * k / den
+        dk_dalpha = (1.0 if mode == OPPOSITE else -1.0) / np.sin(alpha) ** 2
+        dh_dalpha = -((xs - x) * (zo - z) / den) * (1.0 / k) * dk_dalpha
+    return x, z, dh_dr, dh_dalpha, miss
+
+
+def _cell(cfg: StereoConfig) -> tuple[float, float, float, float]:
+    """(x, z, dh/dR, dh/dalpha) of one configuration; raises on a miss."""
+    *values, miss = _partials(cfg.mode, cfg.theta, cfg.alpha, cfg.hs, cfg.ho, cfg.h)
+    if miss:
+        raise GlancingOrMiss("projection ray misses or grazes the range circle")
+    return tuple(float(v) for v in values)
 
 
 def intersection_point(cfg: StereoConfig) -> tuple[float, float]:
     """Solve the in-plane intersection; by construction this is (0, h)."""
-    xs, zs, xo, zo, k, r = cfg.scene()
-    x, z = _solve_ray_circle(xs, zs, xo, zo, k, r, cfg.h, min(cfg.hs, cfg.ho))
-    den = (xs - x) + k * (zs - z)
-    if abs(den) < 1e-9 * r:
-        raise GlancingOrMiss("ray tangent to range circle")
-    return x, z
+    return _cell(cfg)[:2]
 
 
 def height_partials(cfg: StereoConfig) -> tuple[float, float]:
     """(dh/dR, dh/dalpha) at the intersection, dh/dalpha in meters/radian."""
-    xs, zs, xo, zo, k, r = cfg.scene()
-    x, z = intersection_point(cfg)
-    den = (xs - x) + k * (zs - z)
-    dh_dr = -r * k / den
-    dk_dalpha = 1.0 / np.sin(cfg.alpha) ** 2
-    if cfg.mode == SAME:
-        dk_dalpha = -dk_dalpha
-    dh_dalpha = -((xs - x) * (zo - z) / den) * (1.0 / k) * dk_dalpha
-    return float(dh_dr), float(dh_dalpha)
+    return _cell(cfg)[2:]
 
 
 def normalized_height_accuracy(cfg: StereoConfig) -> float:
@@ -202,33 +217,19 @@ def accuracy_grid(
         raise ValueError("theta range must lie within (0, 90) degrees")
     if not (-90.0 < alpha_range_deg[0] and alpha_range_deg[1] < 90.0):
         raise ValueError("alpha range must lie within (-90, 90) degrees")
-    # a configuration with a valid alpha checks every other input, so a
-    # ValueError in the loop below comes from the cell's alpha alone
+    # a configuration with a valid alpha checks every other input, so the
+    # cells below need only their alpha tested for a viewing side
     StereoConfig(mode, np.deg2rad(theta_range_deg[0]), np.deg2rad(45.0), hs, ho,
                  h, sigma0, sigma_alpha_factor)
     thetas = np.linspace(*theta_range_deg, steps[0])
     alphas = np.linspace(*alpha_range_deg, steps[1])
-    ratio = np.full((steps[0], steps[1]), np.nan)
-    flags = np.zeros((steps[0], steps[1]), dtype=bool)
-    for i, td in enumerate(thetas):
-        for j, ad in enumerate(alphas):
-            try:
-                cfg = StereoConfig(
-                    mode=mode,
-                    theta=np.deg2rad(td),
-                    alpha=np.deg2rad(ad),
-                    hs=hs,
-                    ho=ho,
-                    h=h,
-                    sigma0=sigma0,
-                    sigma_alpha_factor=sigma_alpha_factor,
-                )
-                val = normalized_height_accuracy(cfg)
-            except (GlancingOrMiss, ValueError):
-                flags[i, j] = True
-                continue
-            ratio[i, j] = val
-            flags[i, j] = val > SINGULAR_RATIO
+    theta, alpha = np.meshgrid(np.deg2rad(thetas), np.deg2rad(alphas), indexing="ij")
+    _, _, dh_dr, dh_dalpha, miss = _partials(mode, theta, alpha, hs, ho, h)
+    no_side = (alpha == 0.0) | ((mode == OPPOSITE) & (alpha < 0.0))
+    ratio = np.where(
+        miss | no_side, np.nan, np.hypot(dh_dr, dh_dalpha * sigma_alpha_factor)
+    )
+    flags = np.isnan(ratio) | (ratio > SINGULAR_RATIO)
     return AccuracyGrid(
         mode=mode, theta_deg=thetas, alpha_deg=alphas,
         sigma_ratio=ratio, flags=flags,

@@ -79,16 +79,18 @@ class IntersectionResult:
     rms_residual: float
 
 
-def residuals(
+def _linearize(
     sar_model: SarSensorModel,
     opt_model: OpticalSensorModel,
     sar_obs: SarObservation,
     opt_obs: ImagePoint,
-    p: GroundPoint,
+    pa: np.ndarray,
     weights: ObservationWeights,
-) -> np.ndarray:
-    """Weighted 4-vector [range (m), Doppler (m), row (px), col (px)] / sigma."""
-    pa = p.as_array()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted residuals (see residuals) and their 4x3 Jacobian at pa (3,).
+
+    Raises BehindCamera when pa is not in front of the optical camera.
+    """
     s = sar_model.position(sar_obs.t)
     v = sar_model.v
     vnorm = np.sqrt(v.dot(v))
@@ -100,8 +102,7 @@ def residuals(
     if not in_front(q):
         raise BehindCamera("point behind the optical camera")
     row_pred, col_pred = collinearity(opt_model, q)
-
-    return np.array(
+    res = np.array(
         [
             (r_pred - sar_obs.r) / weights.sigma_r,
             doppler_m / (vnorm * weights.sigma_t),
@@ -109,6 +110,31 @@ def residuals(
             (col_pred - opt_obs.col) / weights.sigma_px,
         ]
     )
+
+    rot = opt_model.rotation
+    c = opt_model.focal
+    # d(c*qi/q3)/dp = c*(R[:,i]*q3 - qi*R[:,2]) / q3^2
+    drow = c * (rot[:, 1] * q[2] - q[1] * rot[:, 2]) / q[2] ** 2
+    dcol = c * (rot[:, 0] * q[2] - q[0] * rot[:, 2]) / q[2] ** 2
+
+    jac = np.empty((4, 3))
+    jac[0] = d / (r_pred * weights.sigma_r)
+    jac[1] = v / (vnorm**2 * weights.sigma_t)
+    jac[2] = drow / weights.sigma_px
+    jac[3] = dcol / weights.sigma_px
+    return res, jac
+
+
+def residuals(
+    sar_model: SarSensorModel,
+    opt_model: OpticalSensorModel,
+    sar_obs: SarObservation,
+    opt_obs: ImagePoint,
+    p: GroundPoint,
+    weights: ObservationWeights,
+) -> np.ndarray:
+    """Weighted 4-vector [range (m), Doppler (m), row (px), col (px)] / sigma."""
+    return _linearize(sar_model, opt_model, sar_obs, opt_obs, p.as_array(), weights)[0]
 
 
 def jacobian(
@@ -120,26 +146,7 @@ def jacobian(
     weights: ObservationWeights,
 ) -> np.ndarray:
     """Analytic 4x3 Jacobian of the weighted residuals w.r.t. (x, y, h)."""
-    pa = p.as_array()
-    s = sar_model.position(sar_obs.t)
-    v = sar_model.v
-    vnorm = np.sqrt(v.dot(v))
-    d = pa - s
-    r_pred = np.sqrt(d.dot(d))
-
-    rot = opt_model.rotation
-    q = camera_frame(opt_model, pa)
-    c = opt_model.focal
-    # d(c*qi/q3)/dp = c*(R[:,i]*q3 - qi*R[:,2]) / q3^2
-    drow = c * (rot[:, 1] * q[2] - q[1] * rot[:, 2]) / q[2] ** 2
-    dcol = c * (rot[:, 0] * q[2] - q[0] * rot[:, 2]) / q[2] ** 2
-
-    jac = np.empty((4, 3))
-    jac[0] = d / (r_pred * weights.sigma_r)
-    jac[1] = v / (vnorm**2 * weights.sigma_t)
-    jac[2] = drow / weights.sigma_px
-    jac[3] = dcol / weights.sigma_px
-    return jac
+    return _linearize(sar_model, opt_model, sar_obs, opt_obs, p.as_array(), weights)[1]
 
 
 def intersect(
@@ -154,30 +161,18 @@ def intersect(
 ) -> IntersectionResult:
     """Gauss-Newton solution of the 4-equation / 3-unknown intersection.
 
-    Converges when the accepted update falls below tol (meters).  The step is
-    halved up to 8 times whenever the weighted SSE would increase.  The
-    covariance of the solution is the inverse of the normal matrix J'J built
-    from the weighted residual Jacobian.
+    Each iterate is linearized once.  The step is halved up to 8 times until
+    the weighted SSE does not rise (a trial behind the camera counts as a
+    rise), and the solver converges once the accepted update is below tol
+    (meters).  If no halving is accepted, it converges where it stands only
+    when the undamped step is below tol, and raises NoConvergence otherwise.
+    The covariance is the inverse of the normal matrix J'J built from the
+    weighted residual Jacobian.
     """
-    p = initial.as_array().copy()
-
-    def sse_at(pa: np.ndarray) -> float:
-        try:
-            r = residuals(
-                sar_model, opt_model, sar_obs, opt_obs,
-                GroundPoint.from_array(pa), weights,
-            )
-        except BehindCamera:
-            return np.inf
-        return float(np.dot(r, r))
-
-    r = residuals(sar_model, opt_model, sar_obs, opt_obs, initial, weights)
+    p = initial.as_array()
+    r, jac = _linearize(sar_model, opt_model, sar_obs, opt_obs, p, weights)
     sse = float(np.dot(r, r))
     for it in range(1, max_iterations + 1):
-        jac = jacobian(
-            sar_model, opt_model, sar_obs, opt_obs,
-            GroundPoint.from_array(p), weights,
-        )
         normal = jac.T @ jac
         if np.linalg.cond(normal) > _COND_LIMIT:
             raise SingularNormalMatrix(
@@ -188,26 +183,28 @@ def intersect(
         alpha = 1.0
         for _ in range(8):
             trial = p + alpha * step
-            trial_sse = sse_at(trial)
+            try:
+                trial_r, trial_jac = _linearize(
+                    sar_model, opt_model, sar_obs, opt_obs, trial, weights
+                )
+            except BehindCamera:
+                trial_sse = np.inf
+            else:
+                trial_sse = float(np.dot(trial_r, trial_r))
             if trial_sse <= sse:
+                p, r, jac, sse = trial, trial_r, trial_jac, trial_sse
                 break
             alpha *= 0.5
-
-        p = p + alpha * step
-        r = residuals(
-            sar_model, opt_model, sar_obs, opt_obs,
-            GroundPoint.from_array(p), weights,
-        )
-        sse = float(np.dot(r, r))
+        else:
+            if np.linalg.norm(step) >= tol:
+                raise NoConvergence(
+                    f"no step halving lowered the SSE at iteration {it}"
+                )
+            alpha = 0.0  # converged where it stands
         if np.linalg.norm(alpha * step) < tol:
-            jac = jacobian(
-                sar_model, opt_model, sar_obs, opt_obs,
-                GroundPoint.from_array(p), weights,
-            )
-            covariance = np.linalg.inv(jac.T @ jac)
             return IntersectionResult(
                 point=GroundPoint.from_array(p),
-                covariance=covariance,
+                covariance=np.linalg.inv(jac.T @ jac),
                 iterations=it,
                 rms_residual=float(np.sqrt(sse / len(r))),
             )

@@ -261,7 +261,7 @@ def render_sar(
 
     # energy conservation: a ground sub-cell of size sub x sub covers
     # sub*sin(incidence) of slant range and sub of azimuth
-    sz = model.position(t)[..., 2]
+    sz = model.s0[2] + (t - model.t0) * model.v[2]
     sin_inc = np.sqrt(np.clip(1.0 - ((sz - hg) / slant) ** 2, 1e-6, 1.0))
     vnorm = np.linalg.norm(model.v)
     density = (sub * sin_inc / model.range_per_col) * (
@@ -329,7 +329,7 @@ def canonical_scene_models(
     r_at = lambda xx, hh: float(np.hypot(xx - track_x, sar_height - hh))
     # slant range is smallest at the highest point nearest the track
     h_max = h0 + max((b.height for b in spec.buildings), default=0.0)
-    r_near = r_at(0.0, h_max) - margin_px * g * np.sin(theta)
+    r_near = float(r_at(0.0, h_max) - margin_px * g * np.sin(theta))
     sar_rows = int(round(ey / g))
     sar_cols = int(np.ceil((r_at(ex, h0) - r_near) / (g * np.sin(theta)))) + margin_px
     sar = SarSensorModel(
@@ -338,7 +338,7 @@ def canonical_scene_models(
         t0=0.0,
         az_time_per_row=g / vs,
         r_near=r_near,
-        range_per_col=g * np.sin(theta),
+        range_per_col=float(g * np.sin(theta)),
         look_side="right",
     )
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sarstereo.accuracy import (
     OPPOSITE,
     SAME,
+    SINGULAR_RATIO,
     AccuracyGrid,
     GlancingOrMiss,
     StereoConfig,
@@ -41,7 +44,7 @@ def fd_partials(cfg):
 
     def solve(rr, aa):
         kk = (-1.0 if cfg.mode == OPPOSITE else 1.0) / np.tan(aa)
-        _, z = _solve_ray_circle(xs, zs, xo, zo, kk, rr, cfg.h, cap)
+        _, z, _ = _solve_ray_circle(xs, zs, xo, zo, kk, rr, cfg.h, cap)
         return z
 
     def central(f, x0, d):
@@ -94,8 +97,8 @@ class TestIntersectionPoint:
         # +1 m range perturbation moves z by about -cos(30 deg)
         cfg = cfg_of(SAME, 30.0, 30.0, 500e3, 740e3)
         xs, zs, xo, zo, k, r = cfg.scene()
-        _, z1 = _solve_ray_circle(xs, zs, xo, zo, k, r + 1.0, cfg.h,
-                                  min(cfg.hs, cfg.ho))
+        _, z1, _ = _solve_ray_circle(xs, zs, xo, zo, k, r + 1.0, cfg.h,
+                                     min(cfg.hs, cfg.ho))
         assert z1 - cfg.h == pytest.approx(-np.cos(30 * D2R), abs=1e-4)
         dz_dr, _ = fd_partials(cfg)
         assert z1 - cfg.h == pytest.approx(dz_dr, abs=1e-4)
@@ -270,6 +273,54 @@ class TestAccuracyGrid:
                                  hs=515e3, ho=770e3)
         assert opposite.flags[:, :3].all() and np.isnan(opposite.sigma_ratio[:, :3]).all()
         assert not opposite.flags[:, 3:].any()
+
+
+def angle_range(lo, hi):
+    """Two endpoints in degrees, in either order; integer endpoints make
+    alpha = 0 an exact grid node for many step counts."""
+    ends = st.one_of(st.integers(int(np.ceil(lo)), int(np.floor(hi))).map(float),
+                     st.floats(lo, hi, allow_nan=False))
+    return st.tuples(ends, ends)
+
+
+@st.composite
+def grid_inputs(draw):
+    h = draw(st.floats(-100.0, 3000.0))
+    return dict(
+        mode=draw(st.sampled_from([OPPOSITE, SAME])),
+        theta_range_deg=draw(angle_range(0.5, 89.5)),
+        alpha_range_deg=draw(angle_range(-89.5, 89.5)),
+        steps=(draw(st.integers(1, 12)), draw(st.integers(1, 12))),
+        hs=h + draw(st.floats(200.0, 800e3)),
+        ho=h + draw(st.floats(200.0, 800e3)),
+        h=h,
+    )
+
+
+class TestGridEqualsScalarOp:
+    @settings(max_examples=150, deadline=None)
+    @given(grid_inputs())
+    @example(dict(mode=OPPOSITE, theta_range_deg=(20.0, 50.0),
+                  alpha_range_deg=(-20.0, 20.0), steps=(4, 5),
+                  hs=515e3, ho=770e3, h=0.0))
+    @example(dict(mode=OPPOSITE, theta_range_deg=(50.0, 58.0),
+                  alpha_range_deg=(30.0, 40.0), steps=(9, 11),
+                  hs=760.0, ho=770e3, h=0.0))
+    def test_every_cell_is_the_scalar_op(self, job):
+        grid = accuracy_grid(**job)
+        for i, td in enumerate(grid.theta_deg):
+            for j, ad in enumerate(grid.alpha_deg):
+                try:
+                    cfg = StereoConfig(job["mode"], np.deg2rad(td), np.deg2rad(ad),
+                                       job["hs"], job["ho"], job["h"])
+                    expected = normalized_height_accuracy(cfg)
+                except (GlancingOrMiss, ValueError):
+                    assert np.isnan(grid.sigma_ratio[i, j]) and grid.flags[i, j]
+                    continue
+                # bit for bit; an alpha so small that sin(alpha)^2 underflows
+                # gives NaN on both paths
+                assert np.array_equal(grid.sigma_ratio[i, j], expected, equal_nan=True)
+                assert grid.flags[i, j] == (np.isnan(expected) or expected > SINGULAR_RATIO)
 
 
 class TestConfigValidation:

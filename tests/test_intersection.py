@@ -13,6 +13,7 @@ from sarstereo.geometry import (
 )
 from sarstereo.intersection import (
     IntersectionResult,
+    NoConvergence,
     ObservationWeights,
     SingularNormalMatrix,
     intersect,
@@ -181,6 +182,22 @@ class TestIntersect:
         res = intersect(sar, opt, sar_obs, opt_obs, GroundPoint(3, 3, 10), w)
         ratio = np.sqrt(res.covariance[2, 2]) / sigma0
         assert ratio == pytest.approx(1.04, abs=0.1)
+
+    @pytest.mark.parametrize("tol", [1.0, 1e-4])
+    def test_exhausted_step_halving_is_not_convergence(self, tol):
+        # a low camera 171.5 m up, started far off: at the fifth iterate no
+        # halving of the step lowers the SSE, and the step is not below tol;
+        # the point where it stands is no minimum (rms residual near 1e4)
+        sar = SarSensorModel(
+            s0=(3434.4, 0, 3000), v=(0, 200, 0), look_side="left",
+            az_time_per_row=1e-3, r_near=4060, range_per_col=0.5,
+        )
+        opt = OpticalSensorModel(pc=(21.03, 0, 171.53), phi=0.122, focal=1000)
+        sar_obs, opt_obs = exact_observations(sar, opt, GroundPoint(0.78, 0.16, 0.76))
+        w = ObservationWeights(sigma_t=1e-3, sigma_r=0.5, sigma_px=0.5)
+        with pytest.raises(NoConvergence):
+            intersect(sar, opt, sar_obs, opt_obs, GroundPoint(272.6, -44.7, 138.1), w,
+                      tol=tol)
 
     def test_monte_carlo_height_variance(self):
         from sarstereo.geometry import SarObservation

@@ -271,6 +271,16 @@ class TestGroundTruth:
             assert np.allclose(res.point.as_array(), pair.ground.as_array(),
                                atol=1e-6)
 
+    def test_truth_pairs_carry_python_floats(self, small_scene):
+        spec, dem, refl, sar, opt, _, _ = small_scene
+        truth = ground_truth_correspondences(
+            dem, sar, opt, [GroundPoint(30.5, 40.0, 0.0), GroundPoint(80.0, 85.0, 20.0)]
+        )
+        assert len(truth.pairs) == 2
+        for pair in truth.pairs:
+            for ip in (pair.sar, pair.opt):
+                assert type(ip.row) is float and type(ip.col) is float
+
     def test_shadowed_point_excluded(self, small_scene):
         spec, dem, refl, sar, opt, _, _ = small_scene
         # the 20 m box at theta=35 casts a ~14 m ground shadow east of its
