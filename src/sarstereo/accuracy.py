@@ -70,8 +70,10 @@ class StereoConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.theta < np.pi / 2:
             raise ValueError("theta must lie in (0, pi/2)")
-        if not abs(self.alpha) < np.pi / 2 or self.alpha == 0.0:
-            raise ValueError("alpha must lie in (-pi/2, pi/2) and be nonzero")
+        if not abs(self.alpha) < np.pi / 2 or _degenerate_alpha(self.alpha):
+            raise ValueError(
+                "alpha must lie in (-pi/2, pi/2), with sin(alpha)^2 a normal float"
+            )
         if self.mode == OPPOSITE and self.alpha < 0:
             raise ValueError("alpha is signed only in same_side mode")
         if not (self.hs > self.h and self.ho > self.h):
@@ -86,6 +88,16 @@ class StereoConfig:
     def scene(self) -> tuple[float, float, float, float, float, float]:
         """(Xs, Zs, Xo, Zo, k, R) of the in-plane construction."""
         return _scene(self.mode, self.theta, self.alpha, self.hs, self.ho, self.h)
+
+
+# below this |alpha|, sin(alpha)^2 underflows the normal floats and
+# dk/dalpha = 1 / sin(alpha)^2 overflows, so the accuracy is NaN or infinite
+_ALPHA_MIN = float(np.sqrt(np.finfo(float).tiny))
+
+
+def _degenerate_alpha(alpha):
+    """Whether alpha is 0 or so small that sin(alpha)^2 underflows."""
+    return np.abs(alpha) < _ALPHA_MIN
 
 
 def _scene(mode, theta, alpha, hs, ho, h):
@@ -141,7 +153,7 @@ def _partials(mode, theta, alpha, hs, ho, h):
     """(x, z, dh/dR, dh/dalpha, miss) of the construction, broadcast.
 
     miss marks a ray that misses the circle or meets it at a tangent,
-    |den| < 1e-9 R.  Misses and cells without a viewing side (alpha = 0)
+    |den| < 1e-9 R.  Misses and cells without a viewing side (_degenerate_alpha)
     divide by zero or overflow; callers reject or flag both, so the
     warnings are silenced.
     """
@@ -151,7 +163,9 @@ def _partials(mode, theta, alpha, hs, ho, h):
         den = (xs - x) + k * (zs - z)
         miss = miss | (np.abs(den) < 1e-9 * r)
         dh_dr = -r * k / den
-        dk_dalpha = (1.0 if mode == OPPOSITE else -1.0) / np.sin(alpha) ** 2
+        # np.square, not ** 2: a NumPy scalar's ** 2 calls pow(), which can
+        # differ by an ulp from the array path's x * x
+        dk_dalpha = (1.0 if mode == OPPOSITE else -1.0) / np.square(np.sin(alpha))
         dh_dalpha = -((xs - x) * (zo - z) / den) * (1.0 / k) * dk_dalpha
     return x, z, dh_dr, dh_dalpha, miss
 
@@ -211,7 +225,8 @@ def accuracy_grid(
     """Evaluate the accuracy model over a (theta, alpha) grid in degrees.
 
     Invalid input raises ValueError.  NaN, flagged cells: no intersection,
-    alpha = 0, and negative alpha in opposite_side mode.
+    alpha = 0 or so small that sin(alpha)^2 underflows, and negative alpha in
+    opposite_side mode; StereoConfig rejects the same alphas.
     """
     if not (0.0 < theta_range_deg[0] and theta_range_deg[1] < 90.0):
         raise ValueError("theta range must lie within (0, 90) degrees")
@@ -225,7 +240,7 @@ def accuracy_grid(
     alphas = np.linspace(*alpha_range_deg, steps[1])
     theta, alpha = np.meshgrid(np.deg2rad(thetas), np.deg2rad(alphas), indexing="ij")
     _, _, dh_dr, dh_dalpha, miss = _partials(mode, theta, alpha, hs, ho, h)
-    no_side = (alpha == 0.0) | ((mode == OPPOSITE) & (alpha < 0.0))
+    no_side = _degenerate_alpha(alpha) | ((mode == OPPOSITE) & (alpha < 0.0))
     ratio = np.where(
         miss | no_side, np.nan, np.hypot(dh_dr, dh_dalpha * sigma_alpha_factor)
     )

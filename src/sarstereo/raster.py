@@ -12,6 +12,7 @@ models and a geotransform.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -110,7 +111,10 @@ def _load_rflt(blob: bytes, path: Path) -> Raster:
         raise BadMagic(f"{path}: non-integer dimensions") from exc
     if rows <= 0 or cols <= 0 or rows * cols > MAX_SAMPLES:
         raise DimensionOverflow(f"{path}: implausible dimensions {rows}x{cols}")
-    nodata = None if parts[3] == "none" else float(parts[3])
+    try:
+        nodata = None if parts[3] == "none" else float(parts[3])
+    except ValueError as exc:
+        raise BadMagic(f"{path}: non-numeric nodata token") from exc
     payload = blob[newline + 1 :]
     expected = rows * cols * 4
     if len(payload) < expected:
@@ -195,6 +199,54 @@ def bilinear(samples: np.ndarray, r, c, fill: float) -> np.ndarray:
         + samples[r1, c1] * fr * fc
     )
     return np.where(inside, v, fill)
+
+
+def linear_bins(pos, n: int, wrap: bool = False):
+    """The two neighbouring bins of fractional positions, with their weights.
+
+    Bin k is centred at position k.  Returns ((lo, w_lo), (hi, w_hi)) with
+    lo = floor(pos), hi = lo + 1, w_hi = pos - lo and w_lo = 1 - w_hi.  With
+    wrap the bins are circular modulo n; without it a neighbour off [0, n)
+    gets weight 0 (and index 0, so it stays a valid bin).
+    """
+    pos = np.asarray(pos, dtype=float)
+    lo = np.floor(pos)
+    w_hi = pos - lo
+    w_lo = 1.0 - w_hi
+    lo = lo.astype(np.int64)
+    hi = lo + 1
+    if wrap:
+        lo %= n
+        hi %= n
+    else:
+        for idx, w in ((lo, w_lo), (hi, w_hi)):
+            off = (idx < 0) | (idx >= n)
+            idx[off] = 0
+            w[off] = 0.0
+    return (lo, w_lo), (hi, w_hi)
+
+
+def soft_histogram(axes, shape: tuple[int, ...], weight) -> np.ndarray:
+    """Splat weighted samples into a histogram of the given shape.
+
+    The adjoint of bilinear sampling: each entry of axes is one output axis
+    as a sequence of (index, weight) corners, two from linear_bins for a
+    soft axis or one (index, None) for a hard one; the indices broadcast to
+    weight's shape.  Each sample adds weight times its corner weights to
+    every combination of corners.  One bincount runs per combination, in the
+    order of itertools.product, so only one combination's flat index and
+    weights are alive at a time.
+    """
+    hist = np.zeros(int(np.prod(shape)))
+    for corner in itertools.product(*axes):
+        flat = np.ravel_multi_index([idx for idx, _ in corner], shape)
+        w = np.array(weight, dtype=float)
+        for _, wi in corner:
+            if wi is not None:
+                w *= wi
+        hist += np.bincount(flat.ravel(), weights=w.ravel(), minlength=hist.size)
+        del flat, w  # freed before the next combination's are built
+    return hist.reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from sarstereo.geometry import (
     sar_forward,
     sar_forward_array,
 )
-from sarstereo.raster import GroundGrid, Raster, bilinear
+from sarstereo.raster import GroundGrid, Raster, bilinear, linear_bins, soft_histogram
 
 
 class SceneNotVisible(Exception):
@@ -85,6 +85,13 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class RenderNoise:
+    """Noise and radiometric switches of the two renderers.
+
+    enable_shadow_layover switches only render_sar's shadow darkening (and
+    with it the north-aligned track check); layover, the accumulation of
+    surfaces that share a slant-range bin, is always rendered.
+    """
+
     optical_sigma: float = 0.0  # additive gaussian, gray levels
     speckle_looks: int | None = None  # None disables speckle
     enable_shadow_layover: bool = True
@@ -269,22 +276,9 @@ def render_sar(
     )
     value = weight * density
 
-    img = np.zeros(rows_out * cols_out)
-    r0 = np.floor(row).astype(int)
-    c0 = np.floor(col).astype(int)
-    fr = row - r0
-    fc = col - c0
-    for dr, wr in ((0, 1 - fr), (1, fr)):
-        for dc, wc in ((0, 1 - fc), (1, fc)):
-            rr = r0 + dr
-            cc = c0 + dc
-            ok = (rr >= 0) & (rr < rows_out) & (cc >= 0) & (cc < cols_out)
-            img += np.bincount(
-                (rr[ok] * cols_out + cc[ok]).ravel(),
-                weights=(value * wr * wc)[ok].ravel(),
-                minlength=rows_out * cols_out,
-            )
-    img = img.reshape(rows_out, cols_out)
+    img = soft_histogram(
+        (linear_bins(row, rows_out), linear_bins(col, cols_out)), shape, value
+    )
 
     if noise.speckle_looks is not None:
         rng = np.random.default_rng(noise.seed + 2)

@@ -318,7 +318,7 @@ class TestGridEqualsScalarOp:
                     assert np.isnan(grid.sigma_ratio[i, j]) and grid.flags[i, j]
                     continue
                 # bit for bit; an alpha so small that sin(alpha)^2 underflows
-                # gives NaN on both paths
+                # is rejected by StereoConfig and flagged by the grid
                 assert np.array_equal(grid.sigma_ratio[i, j], expected, equal_nan=True)
                 assert grid.flags[i, j] == (np.isnan(expected) or expected > SINGULAR_RATIO)
 
@@ -333,3 +333,15 @@ class TestConfigValidation:
             cfg_of(OPPOSITE, 30.0, -10.0, 515e3, 770e3)
         with pytest.raises(ValueError):
             cfg_of(SAME, 30.0, 10.0, 515e3, 770e3, h=600e3)
+
+    @pytest.mark.parametrize("mode", [SAME, OPPOSITE])
+    def test_rejects_alpha_whose_sine_squared_underflows(self, mode):
+        # 1 / sin(alpha)^2 overflows below about 1e-154 rad, which made the
+        # accuracy NaN or inf; such an alpha has no usable viewing side
+        for alpha in (1e-200, 1e-160, 5e-324):
+            with pytest.raises(ValueError):
+                StereoConfig(mode, 0.5, alpha, 515e3, 770e3)
+        grid = accuracy_grid(mode, (20.0, 40.0), (1e-200, 30.0), (2, 2), 515e3, 770e3)
+        assert np.isnan(grid.sigma_ratio[:, 0]).all() and grid.flags[:, 0].all()
+        assert np.isfinite(normalized_height_accuracy(
+            StereoConfig(mode, 0.5, 1e-150, 515e3, 770e3)))

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import itertools
+import tracemalloc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +16,10 @@ from sarstereo.raster import (
     Raster,
     TruncatedPayload,
     bilinear,
+    linear_bins,
     load_raster,
     save_raster,
+    soft_histogram,
     to_db,
 )
 
@@ -44,6 +49,12 @@ class TestRflt:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rflt"
         path.write_bytes(b"NOPE 2 2 none\n" + b"\x00" * 16)
+        with pytest.raises(BadMagic):
+            load_raster(path)
+
+    def test_non_numeric_nodata_is_bad_magic(self, tmp_path):
+        path = tmp_path / "bad_nodata.rflt"
+        path.write_bytes(b"RFLT 1 1 abc\n" + b"\x00" * 4)
         with pytest.raises(BadMagic):
             load_raster(path)
 
@@ -161,3 +172,77 @@ class TestBilinear:
     def test_single_row_interpolates_along_columns(self):
         s = np.array([[0.0, 4.0, 8.0]], dtype=np.float32)
         assert bilinear(s, [0.0, 0.0], [0.25, 2.0], np.nan).tolist() == [1.0, 8.0]
+
+
+def splat_loop(positions, shape, wraps, weight):
+    """One sample and one corner at a time: the soft histogram by definition."""
+    hist = np.zeros(shape)
+    for k in range(len(weight)):
+        per_axis = []
+        for pos, n, wrap in zip(positions, shape, wraps):
+            b0 = int(np.floor(pos[k]))
+            frac = pos[k] - b0
+            per_axis.append([(b, w) for b, w in ((b0, 1.0 - frac), (b0 + 1, frac))
+                             if wrap or 0 <= b < n])
+        for corner in itertools.product(*per_axis):
+            idx = tuple(b % n for (b, _), n in zip(corner, shape))
+            hist[idx] += weight[k] * np.prod([w for _, w in corner])
+    return hist
+
+
+class TestSoftHistogram:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        axes=st.lists(st.tuples(st.integers(1, 5), st.booleans()),
+                      min_size=1, max_size=3),
+        count=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_sample_loop(self, axes, count, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(n for n, _ in axes)
+        wraps = [wrap for _, wrap in axes]
+        # positions reach a bin and a half past either end, so corners fall off
+        positions = [rng.uniform(-1.5, n + 0.5, count) for n in shape]
+        weight = rng.uniform(-1.0, 2.0, count)
+        got = soft_histogram(
+            [linear_bins(p, n, wrap) for p, n, wrap in zip(positions, shape, wraps)],
+            shape, weight,
+        )
+        assert got.shape == shape
+        np.testing.assert_allclose(got, splat_loop(positions, shape, wraps, weight),
+                                   rtol=0, atol=1e-12)
+
+    def test_hard_axis_broadcasts(self):
+        rng = np.random.default_rng(4)
+        weight = rng.uniform(0, 1, (6, 6))
+        cell = np.arange(6) // 3
+        hist = soft_histogram(
+            ([(cell[:, None], None)], [(cell[None, :], None)]), (2, 2), weight
+        )
+        expected = weight.reshape(2, 3, 2, 3).sum(axis=(1, 3))
+        np.testing.assert_allclose(hist, expected, rtol=0, atol=1e-12)
+
+    def test_off_range_neighbour_gets_zero_weight(self):
+        (lo, w_lo), (hi, w_hi) = linear_bins([-0.25, 2.5], 3)
+        assert lo.tolist() == [0, 2] and hi.tolist() == [0, 0]
+        assert w_lo.tolist() == [0.0, 0.5] and w_hi.tolist() == [0.75, 0.0]
+        (lo, w_lo), (hi, w_hi) = linear_bins([-0.25, 2.5], 3, wrap=True)
+        assert lo.tolist() == [2, 2] and hi.tolist() == [0, 0]
+        assert w_lo.tolist() == [0.25, 0.5] and w_hi.tolist() == [0.75, 0.5]
+
+    def test_peak_memory_is_one_corner_at_a_time(self):
+        # per corner, the flat index and the corner weight live at once; a
+        # form that builds every corner before binning holds several times that
+        n = 10**6
+        rng = np.random.default_rng(0)
+        axes = (linear_bins(rng.uniform(0, 100, n), 100),
+                linear_bins(rng.uniform(0, 100, n), 100))
+        weight = rng.uniform(0, 1, n)
+        tracemalloc.start()
+        try:
+            soft_histogram(axes, (100, 100), weight)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n, f"peak {peak / (8 * n):.2f} x 8N bytes"

@@ -5,19 +5,26 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from sarstereo.similarity import (
+    HOG_EPS,
+    SIFT_CLIP,
     ConstantPatch,
     DegenerateHistogram,
     Descriptor,
     LayoutMismatch,
     Patch,
     SimilarityScore,
+    _block_normalize,
     descriptor_similarity,
+    gradient_maps,
     hog_descriptor,
     hopc_descriptor,
+    hopc_from_maps,
     ncc,
     nmi,
+    oriented_descriptor_from_maps,
     phase_congruency_maps,
     sift_descriptor,
+    sift_from_gradients,
 )
 
 
@@ -235,6 +242,11 @@ class TestHopc:
         with pytest.raises(ValueError):
             hopc_descriptor(Patch(np.zeros((31, 31))))
 
+    def test_one_cell_patch_rejected(self):
+        # 33 px passes the filter bank's minimum but holds one 17 px cell
+        with pytest.raises(ValueError):
+            hopc_descriptor(Patch(smooth_field(33, seed=6)))
+
 
 class TestDescriptorSimilarity:
     def test_identity(self):
@@ -273,3 +285,121 @@ class TestDescriptorSimilarity:
         s = descriptor_similarity(d, d, measure="HOPC")
         assert isinstance(s, SimilarityScore)
         assert s.measure == "HOPC"
+
+
+# ---------------------------------------------------------------------------
+# the soft-binning descriptors against their earlier per-corner kernels
+# ---------------------------------------------------------------------------
+
+def block_normalize_loop(hist):
+    """The cell-by-cell 2x2 block normalization, clamped at the far edges."""
+    n = hist.shape[0]
+    out = np.empty_like(hist)
+    for i in range(n):
+        for j in range(n):
+            block = hist[i : min(i + 2, n), j : min(j + 2, n)]
+            out[i, j] = hist[i, j] / np.sqrt(np.sum(block * block) + HOG_EPS**2)
+    return out
+
+
+def oriented_reference(mag, ori, cell, bins):
+    """HOG cell histograms binned by one concatenated bincount, loop-normalized."""
+    n = mag.shape[0] // cell
+    used = n * cell
+    b = np.mod(ori[:used, :used], np.pi) / np.pi * bins - 0.5
+    b0 = np.floor(b)
+    frac = b - b0
+    lo = np.mod(b0, bins).astype(np.int64)
+    hi = np.mod(b0 + 1, bins).astype(np.int64)
+    cells = np.arange(used) // cell
+    base = (cells[:, None] * n + cells[None, :]) * bins
+    m = mag[:used, :used]
+    hist = np.bincount(
+        np.concatenate([(base + lo).ravel(), (base + hi).ravel()]),
+        weights=np.concatenate([(m * (1.0 - frac)).ravel(), (m * frac).ravel()]),
+        minlength=n * n * bins,
+    ).reshape(n, n, bins)
+    return block_normalize_loop(hist).ravel()
+
+
+def sift_reference(gx, gy, row, col, scale):
+    """SIFT trilinear binning as eight np.add.at calls, one per corner."""
+    d = 4
+    half = int(round(d / 2 * scale))
+    wx = gx[row - half : row + half + 1, col - half : col + half + 1]
+    wy = gy[row - half : row + half + 1, col - half : col + half + 1]
+    ang = np.mod(np.arctan2(wy, wx), 2 * np.pi)
+    off = np.arange(-half, half + 1, dtype=float)
+    du, dv = np.meshgrid(off, off)
+    weight = np.hypot(wx, wy) * np.exp(-(du * du + dv * dv) / (2.0 * scale * scale))
+    cx = du / scale + (d - 1) / 2.0
+    cy = dv / scale + (d - 1) / 2.0
+    ob = ang / (2 * np.pi) * 8 - 0.5
+    cx0, cy0, ob0 = np.floor(cx), np.floor(cy), np.floor(ob)
+    fx, fy, fo = cx - cx0, cy - cy0, ob - ob0
+    hist = np.zeros((d, d, 8))
+    for dy_bin, wy_f in ((0, 1.0 - fy), (1, fy)):
+        yy = (cy0 + dy_bin).astype(int)
+        for dx_bin, wx_f in ((0, 1.0 - fx), (1, fx)):
+            xx = (cx0 + dx_bin).astype(int)
+            ok = (yy >= 0) & (yy < d) & (xx >= 0) & (xx < d)
+            for do_bin, wo_f in ((0, 1.0 - fo), (1, fo)):
+                oo = np.mod(ob0 + do_bin, 8).astype(int)
+                w = weight * wy_f * wx_f * wo_f
+                np.add.at(hist, (yy[ok], xx[ok], oo[ok]), w[ok])
+    vec = hist.ravel()
+    vec = np.minimum(vec / np.linalg.norm(vec), SIFT_CLIP)
+    return vec / np.linalg.norm(vec)
+
+
+class TestSoftBinningKernels:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_normalize_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        hist = rng.uniform(0, 5, (2 + seed, 2 + seed, 8))
+        np.testing.assert_allclose(_block_normalize(hist), block_normalize_loop(hist),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oriented_maps_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        side = 51 + 7 * seed
+        mag = rng.uniform(0, 3, (side, side))
+        ori = rng.uniform(-4, 4, (side, side))
+        got = oriented_descriptor_from_maps(mag, ori, 17, 8).values
+        np.testing.assert_allclose(got, oriented_reference(mag, ori, 17, 8),
+                                   rtol=0, atol=1e-12)
+        pc = rng.uniform(0, 1, (side, side))
+        got = hopc_from_maps(pc, ori, 17, 8).values
+        floored = np.where(pc >= 0.1, pc, 0.0)
+        np.testing.assert_allclose(got, oriented_reference(floored, ori, 17, 8),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sift_matches_add_at_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        gx, gy = rng.standard_normal((2, 60, 70))
+        row, col = 25 + seed, 30 + 2 * seed
+        got = sift_from_gradients(gx, gy, row, col, 10.0).values
+        np.testing.assert_allclose(got, sift_reference(gx, gy, row, col, 10.0),
+                                   rtol=0, atol=1e-12)
+
+    def test_sift_patch_equals_map_path(self):
+        # the 41 px footprint keeps off the 51 px patch's one-sided border
+        # differences, so both paths see the same gradients
+        img = smooth_field(121, seed=9, hi=50.0)
+        gx, gy = gradient_maps(img)
+        for row, col in ((40, 40), (60, 75), (80, 50)):
+            patch = Patch(img[row - 25 : row + 26, col - 25 : col + 26])
+            a = sift_descriptor(patch).values
+            b = sift_from_gradients(gx, gy, row, col).values
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", [(10, 10), (40, 51), (51, 40)])
+    def test_map_path_rejects_small_or_non_square(self, shape):
+        rng = np.random.default_rng(2)
+        mag, ori = rng.uniform(0, 1, (2,) + shape)
+        with pytest.raises(ValueError):
+            oriented_descriptor_from_maps(mag, ori, 17, 8)
+        with pytest.raises(ValueError):
+            hopc_from_maps(mag, ori, 17, 8)
