@@ -81,10 +81,6 @@ class StereoConfig:
         if not self.sigma0 > 0:
             raise ValueError("sigma0 must be > 0")
 
-    @property
-    def slant_range(self) -> float:
-        return (self.hs - self.h) / np.cos(self.theta)
-
     def scene(self) -> tuple[float, float, float, float, float, float]:
         """(Xs, Zs, Xo, Zo, k, R) of the in-plane construction."""
         return _scene(self.mode, self.theta, self.alpha, self.hs, self.ho, self.h)
@@ -228,9 +224,9 @@ def accuracy_grid(
     alpha = 0 or so small that sin(alpha)^2 underflows, and negative alpha in
     opposite_side mode; StereoConfig rejects the same alphas.
     """
-    if not (0.0 < theta_range_deg[0] and theta_range_deg[1] < 90.0):
+    if not all(0.0 < t < 90.0 for t in theta_range_deg):
         raise ValueError("theta range must lie within (0, 90) degrees")
-    if not (-90.0 < alpha_range_deg[0] and alpha_range_deg[1] < 90.0):
+    if not all(-90.0 < a < 90.0 for a in alpha_range_deg):
         raise ValueError("alpha range must lie within (-90, 90) degrees")
     # a configuration with a valid alpha checks every other input, so the
     # cells below need only their alpha tested for a viewing side

@@ -271,9 +271,6 @@ class GroundGrid:
             step=float(gt["step"]),
         )
 
-    def geotransform(self) -> dict:
-        return {"x0": self.x0, "y0": self.y0, "step": self.step}
-
     def cell_of(self, x: float, y: float) -> tuple[float, float]:
         return (y - self.y0) / self.step, (x - self.x0) / self.step
 

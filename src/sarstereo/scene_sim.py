@@ -8,10 +8,6 @@ slant-range grid with layover accumulation, shadow darkening and optional
 multiplicative speckle).  The two renderers apply different radiometric
 transfer functions on purpose, so similarity measures face a genuinely
 multimodal problem while the geometry stays exact.
-
-Truth visibility holds for any track and camera.  Only the SAR shadow mask
-assumes a north-aligned track (v along +/-y, v_z = 0, as canonical_scene_models
-makes it), and render_sar raises ValueError for any other track with shadows on.
 """
 
 from __future__ import annotations
@@ -85,16 +81,10 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class RenderNoise:
-    """Noise and radiometric switches of the two renderers.
-
-    enable_shadow_layover switches only render_sar's shadow darkening (and
-    with it the north-aligned track check); layover, the accumulation of
-    surfaces that share a slant-range bin, is always rendered.
-    """
+    """Noise of the two renderers, drawn from generators seeded with seed."""
 
     optical_sigma: float = 0.0  # additive gaussian, gray levels
     speckle_looks: int | None = None  # None disables speckle
-    enable_shadow_layover: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -194,16 +184,36 @@ def render_optical(
     )
 
 
-def _shadow_mask(
-    xg: np.ndarray, hg: np.ndarray, track_x: float, z_s: float
-) -> np.ndarray:
-    """True where terrain is radar-shadowed, per azimuth line.
+def _track_samples(grid: GroundGrid, model: SarSensorModel, sub: float):
+    """Samples at spacing sub over the DEM's bounding box in the track frame.
 
-    Cells are scanned in increasing ground distance from the track; a cell
-    is shadowed when some nearer cell subtends a larger off-nadir angle.
+    Rows run along u_hat = v_xy / |v_xy|, one zero-Doppler line each, and
+    columns along w_hat = (u_hat_y, -u_hat_x).  Returns the rows' and the
+    columns' 1-D offsets u and w from the sensor at t0, and world x and y.
     """
-    dist = np.abs(xg - track_x)
-    order = np.argsort(dist[0])
+    vx, vy = model.v[:2]
+    speed = np.hypot(vx, vy)
+    if not speed > 0:
+        raise ValueError("SAR track has no horizontal velocity, so no along-track direction")
+    frame = np.array([[vx, vy], [vy, -vx]]) / speed  # columns u_hat, w_hat
+    lo = np.array([grid.x0, grid.y0]) - grid.step / 2
+    hi = lo + grid.step * np.array(grid.raster.samples.shape[::-1])
+    corners = np.array([lo, hi, [lo[0], hi[1]], [hi[0], lo[1]]])
+    u, w = (e.min() + (np.arange(int(np.ceil(np.ptp(e) / sub - 1e-6))) + 0.5) * sub
+            for e in (corners @ frame).T)
+    s_u, s_w = model.position(model.t0)[:2] @ frame
+    return (u - s_u, w - s_w, *(u[:, None] * a + w * b for a, b in frame))
+
+
+def _shadow_mask(w: np.ndarray, hg: np.ndarray, z_s: float) -> np.ndarray:
+    """True where terrain is radar-shadowed, per zero-Doppler row of hg.
+
+    Rows may run along any horizontal heading (a climbing track tilts them by
+    v_z / |v_xy|) and columns sit at cross-track offsets w from the track; a
+    cell is shadowed when a nearer cell subtends a larger off-nadir angle.
+    """
+    dist = np.abs(w)
+    order = np.argsort(dist)
     beta = np.arctan2(dist, z_s - hg)
     beta_sorted = beta[:, order]
     horizon = np.maximum.accumulate(beta_sorted, axis=1)
@@ -223,42 +233,33 @@ def render_sar(
 ) -> Raster:
     """Forward-project the scene into the slant-range grid.
 
-    Every (supersampled) ground cell is mapped through the range-Doppler
-    equations and splatted bilinearly into its (azimuth row, range col)
-    bin; multiple surfaces binned together accumulate (layover), shadowed
-    cells are darkened, and gamma-distributed speckle with the configured
-    number of looks multiplies the result.
+    Every ground cell of a supersampled, track-aligned grid is mapped through
+    the range-Doppler equations and splatted bilinearly into its (azimuth
+    row, range col) bin; multiple surfaces binned together accumulate
+    (layover), shadowed cells are darkened, and gamma-distributed speckle
+    with the configured number of looks multiplies the result.
     """
-    if noise.enable_shadow_layover and (model.v[0] != 0 or model.v[2] != 0):
-        raise ValueError("shadow mask assumes a north-aligned track (v along +/-y, v_z = 0)")
     grid = GroundGrid.from_raster(dem)
     rows_out, cols_out = shape
-    q = max(1, int(supersample))
-    sub = grid.step / q
-    rows_in, cols_in = dem.samples.shape
-    x = grid.x0 - grid.step / 2 + (np.arange(cols_in * q) + 0.5) * sub
-    y = grid.y0 - grid.step / 2 + (np.arange(rows_in * q) + 0.5) * sub
-    xg, yg = np.meshgrid(x, y)
+    sub = grid.step / max(1, int(supersample))
+    du, dw, xg, yg = _track_samples(grid, model, sub)
     r_idx, c_idx = grid.cell_of(xg, yg)
     ground = float(dem.samples.min())
     hg = bilinear(dem.samples, r_idx, c_idx, ground)
     refl = bilinear(reflectance.samples, r_idx, c_idx, 0.0)
 
-    # local incidence weighting: surface normal (-gx, -gy, 1) against the
-    # direction back toward the sensor
-    gy, gx = np.gradient(hg, sub)
-    s_ref = model.position(model.t0)
-    look = np.stack([xg - s_ref[0], yg - s_ref[1], hg - s_ref[2]])
+    # local incidence weighting in the track frame: surface normal
+    # (-gw, -gu, 1) against the direction back toward the sensor
+    gu, gw = np.gradient(hg, sub)
+    z_s = float(model.position(model.t0)[2])
+    look = np.stack(np.broadcast_arrays(dw, du[:, None], hg - z_s))
     look /= np.linalg.norm(look, axis=0)
-    n_norm = np.sqrt(gx * gx + gy * gy + 1.0)
+    n_norm = np.sqrt(gw * gw + gu * gu + 1.0)
     cos_inc = np.clip(
-        (gx * look[0] + gy * look[1] - look[2]) / n_norm, 0.0, 1.0
+        (gw * look[0] + gu * look[1] - look[2]) / n_norm, 0.0, 1.0
     )
     weight = refl * (0.25 + 0.75 * cos_inc)
-
-    if noise.enable_shadow_layover:
-        shadowed = _shadow_mask(xg, hg, float(s_ref[0]), float(s_ref[2]))
-        weight = np.where(shadowed, 0.03 * weight, weight)
+    weight = np.where(_shadow_mask(dw, hg, z_s), 0.03 * weight, weight)
 
     t, slant = sar_forward_array(model, np.stack([xg, yg, hg], axis=-1))
     row = (t - model.t0) / model.az_time_per_row

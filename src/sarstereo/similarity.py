@@ -39,7 +39,6 @@ MI = "MI"
 HOG = "HOG"
 SIFT = "SIFT"
 HOPC = "HOPC"
-MEASURES = (NCC, MI, HOG, SIFT, HOPC)
 
 HOG_EPS = 1e-5
 SIFT_CLIP = 0.2
@@ -425,8 +424,10 @@ def hopc_descriptor(
     orientations: int = 6,
 ) -> Descriptor:
     """HOG-style descriptor over phase congruency instead of gradients."""
-    if p.template_size < 32:
-        raise ValueError("patch side must be at least 32 for the filter bank")
+    # the filter bank needs 32 px and the descriptor 2x2 cells: check both
+    # before running the filter bank
+    if p.template_size < max(32, 2 * cell):
+        raise ValueError(f"patch side must be at least 32 and span 2x2 cells of {cell} px")
     pc, ori = phase_congruency_maps(p.samples, scales, orientations)
     return hopc_from_maps(pc, ori, cell, bins)
 

@@ -257,11 +257,15 @@ class TestAccuracyGrid:
         (OPPOSITE, (10.0, 40.0), {"sigma0": -1.0}),
         # every cell lacks a viewing side; the input is checked all the same
         ("opposite_sde", (0.0, 0.0), {}),
+        # reversed ranges whose bad end is the second, then the first
+        (SAME, (5.0, 15.0), {"theta_range_deg": (50.0, -10.0), "steps": (4, 3)}),
+        (SAME, (95.0, 10.0), {"theta_range_deg": (30.0, 40.0), "steps": (2, 3)}),
     ])
     def test_invalid_input_raises(self, mode, alphas, kwargs):
+        args = {"theta_range_deg": (20.0, 50.0), "steps": (4, 4),
+                "hs": 500e3, "ho": 700e3, **kwargs}
         with pytest.raises(ValueError):
-            accuracy_grid(mode, (20.0, 50.0), alphas, (4, 4),
-                          hs=500e3, ho=700e3, **kwargs)
+            accuracy_grid(mode, alpha_range_deg=alphas, **args)
 
     def test_cells_without_viewing_side_stay_flagged(self):
         same = accuracy_grid(SAME, (20.0, 50.0), (-20.0, 20.0), (4, 5),

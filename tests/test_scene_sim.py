@@ -7,7 +7,7 @@ import pytest
 
 from sarstereo.geometry import GroundPoint, OpticalSensorModel, opt_forward, sar_forward
 from sarstereo.intersection import ObservationWeights, intersect
-from sarstereo.raster import GroundGrid, Raster
+from sarstereo.raster import GroundGrid, Raster, bilinear
 from sarstereo.scene_sim import (
     Building,
     Correspondence,
@@ -15,6 +15,9 @@ from sarstereo.scene_sim import (
     SceneOutsideSwath,
     SceneSpec,
     TruthSet,
+    _blocked,
+    _shadow_mask,
+    _track_samples,
     canonical_scene_models,
     ground_truth_correspondences,
     make_scene,
@@ -98,6 +101,24 @@ class TestRenderOptical:
         assert a.samples.tobytes() == b.samples.tobytes()
 
 
+def _rotated_track(sar, degrees, centre):
+    """The track turned by degrees about the vertical through centre (x, y)."""
+    a = np.deg2rad(degrees)
+    rot = np.array([[np.cos(a), -np.sin(a), 0.0],
+                    [np.sin(a), np.cos(a), 0.0],
+                    [0.0, 0.0, 1.0]])
+    c = np.array([*centre, 0.0])
+    return dataclasses.replace(sar, s0=c + rot @ (sar.s0 - c), v=rot @ sar.v)
+
+
+def _render_shadow(dem, sar, supersample=2):
+    """render_sar's samples (x, y, h) and its shadow verdict at each."""
+    grid = GroundGrid.from_raster(dem)
+    _, dw, xg, yg = _track_samples(grid, sar, grid.step / supersample)
+    hg = bilinear(dem.samples, *grid.cell_of(xg, yg), float(dem.samples.min()))
+    return (xg, yg, hg), _shadow_mask(dw, hg, float(sar.position(sar.t0)[2]))
+
+
 class TestRenderSar:
     def test_point_targets_land_on_forward_projection(self):
         spec = SceneSpec(extent=(120, 120), texture_seed=11)
@@ -109,8 +130,7 @@ class TestRenderSar:
         for r, c in targets:
             refl.samples[r, c] = 50.0
         sar, _, sar_shape, _ = canonical_scene_models(spec)
-        img = render_sar(dem, refl, sar, RenderNoise(enable_shadow_layover=False),
-                         sar_shape)
+        img = render_sar(dem, refl, sar, RenderNoise(), sar_shape)
         grid = GroundGrid.from_raster(dem)
         for r, c in targets:
             x = grid.x0 + c * grid.step
@@ -158,13 +178,8 @@ class TestRenderSar:
         spec = SceneSpec(extent=(200, 200), texture_contrast=0.0)
         dem, refl = make_scene(spec)
         sar, _, sar_shape, _ = canonical_scene_models(spec)
-        clean = render_sar(dem, refl, sar, RenderNoise(enable_shadow_layover=False),
-                           sar_shape)
-        noisy = render_sar(
-            dem, refl, sar,
-            RenderNoise(speckle_looks=10_000, enable_shadow_layover=False),
-            sar_shape,
-        )
+        clean = render_sar(dem, refl, sar, RenderNoise(), sar_shape)
+        noisy = render_sar(dem, refl, sar, RenderNoise(speckle_looks=10_000), sar_shape)
         interior = (slice(20, -20), slice(20, -20))
         assert np.all(clean.samples[interior] > 0), "unlit pixels in the interior"
         ratio = noisy.samples[interior] / np.maximum(clean.samples[interior], 1e-9)
@@ -218,7 +233,7 @@ class TestRenderSar:
             render_sar(dem, refl, far, RenderNoise(), (50, 50))
 
     @pytest.mark.parametrize("track", ["rotated", "climbing"])
-    def test_shadow_mask_needs_north_aligned_track(self, track):
+    def test_any_track_renders_shadows(self, track):
         spec = SceneSpec(
             extent=(120, 120), texture_seed=6,
             buildings=(Building(rect=(50, 40, 70, 80), height=10.0),),
@@ -227,21 +242,58 @@ class TestRenderSar:
         sar, _, sar_shape, _ = canonical_scene_models(spec)
         if track == "rotated":
             # 3 degrees about the scene centre, so the swath still covers it
-            a = np.deg2rad(3.0)
-            rot = np.array([[np.cos(a), -np.sin(a), 0.0],
-                            [np.sin(a), np.cos(a), 0.0],
-                            [0.0, 0.0, 1.0]])
-            centre = np.array([60.0, 60.0, 0.0])
-            sar = dataclasses.replace(sar, s0=centre + rot @ (sar.s0 - centre),
-                                      v=rot @ sar.v)
+            sar = _rotated_track(sar, 3.0, (60.0, 60.0))
         else:
             sar = dataclasses.replace(sar, v=sar.v + np.array([0.0, 0.0, 0.5]))
-        with pytest.raises(ValueError, match="north-aligned"):
-            render_sar(dem, refl, sar, RenderNoise(), sar_shape)
-        img = render_sar(dem, refl, sar, RenderNoise(enable_shadow_layover=False),
-                         sar_shape)
+        img = render_sar(dem, refl, sar, RenderNoise(), sar_shape)
         assert img.samples.shape == sar_shape
         assert np.all(np.isfinite(img.samples)) and img.samples.max() > 0
+        assert _render_shadow(dem, sar)[1].any()
+
+    def test_transposed_scene_renders_identically(self):
+        spec = _city_spec(extent=(90.0, 40.0))
+        dem, refl = make_scene(spec)
+        sar, _, sar_shape, _ = canonical_scene_models(spec)
+        dem_t, refl_t = (Raster(samples=np.ascontiguousarray(r.samples.T),
+                                sidecar=r.sidecar) for r in (dem, refl))
+        # the track along +x south of the transposed scene looks north: left
+        (sx, sy, sz), vs = sar.s0, sar.v[1]
+        sar_t = dataclasses.replace(sar, s0=(sy, sx, sz), v=(vs, 0.0, 0.0),
+                                    look_side="left")
+        for noise in (RenderNoise(), RenderNoise(speckle_looks=4, seed=5)):
+            a = render_sar(dem, refl, sar, noise, sar_shape)
+            b = render_sar(dem_t, refl_t, sar_t, noise, sar_shape)
+            assert a.samples.tobytes() == b.samples.tobytes()
+
+    @pytest.mark.parametrize("track", ["3", "30", "90", "180", "climbing"])
+    def test_render_shadow_matches_blocked(self, track):
+        spec = _city_spec(extent=(90.0, 40.0))
+        dem, _ = make_scene(spec)
+        sar, _, _, _ = canonical_scene_models(spec)
+        if track == "climbing":
+            sar = dataclasses.replace(sar, v=sar.v + np.array([0.0, 0.0, 0.5]))
+        else:
+            sar = _rotated_track(sar, float(track), (45.0, 20.0))
+        (xg, yg, hg), shadowed = _render_shadow(dem, sar)
+        grid = GroundGrid.from_raster(dem)
+        r, c = grid.cell_of(xg, yg)
+        on_dem = np.flatnonzero((r >= 0) & (r <= dem.rows - 1)
+                                & (c >= 0) & (c <= dem.cols - 1))
+        pick = np.random.default_rng(5).choice(on_dem, 2000, replace=False)
+        ground, top = float(dem.samples.min()), float(dem.samples.max())
+        blocked = [
+            _blocked(grid, ground, top, p,
+                     sar.position(sar_forward(sar, GroundPoint(*p)).t))
+            for p in np.stack([xg.flat[pick], yg.flat[pick], hg.flat[pick]], axis=1)
+        ]
+        assert blocked == list(shadowed.flat[pick])
+        assert sum(blocked) >= 100
+
+    def test_track_without_horizontal_velocity_raises(self, small_scene):
+        spec, dem, refl, sar, opt, sar_shape, _ = small_scene
+        vertical = dataclasses.replace(sar, v=(0.0, 0.0, 7500.0))
+        with pytest.raises(ValueError, match="horizontal velocity"):
+            render_sar(dem, refl, vertical, RenderNoise(), sar_shape)
 
     def test_deterministic_with_seed(self, small_scene):
         spec, dem, refl, sar, opt, sar_shape, _ = small_scene

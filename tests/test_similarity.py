@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
+from sarstereo import similarity
 from sarstereo.similarity import (
     HOG_EPS,
     SIFT_CLIP,
@@ -246,6 +247,15 @@ class TestHopc:
         # 33 px passes the filter bank's minimum but holds one 17 px cell
         with pytest.raises(ValueError):
             hopc_descriptor(Patch(smooth_field(33, seed=6)))
+
+    def test_one_cell_patch_rejected_before_filter_bank(self, monkeypatch):
+        def no_filter_bank(*args, **kwargs):
+            pytest.fail("the filter bank ran on a patch too small to describe")
+
+        monkeypatch.setattr(similarity, "phase_congruency_maps", no_filter_bank)
+        for side in (33, 31):
+            with pytest.raises(ValueError):
+                hopc_descriptor(Patch(smooth_field(side, seed=6)))
 
 
 class TestDescriptorSimilarity:
