@@ -68,6 +68,8 @@ class Raster:
     def valid_mask(self) -> np.ndarray:
         if self.nodata is None:
             return np.ones(self.samples.shape, dtype=bool)
+        if np.isnan(self.nodata):
+            return ~np.isnan(self.samples)  # NaN compares unequal to itself
         return self.samples != np.float32(self.nodata)
 
     def mean(self) -> float:
@@ -85,17 +87,24 @@ def _atomic_write(path: Path, payload: bytes) -> None:
 
 
 def save_raster(raster: Raster, path) -> None:
-    """Write RFLT plus an optional .json sidecar, atomically."""
+    """Write RFLT plus an optional .json sidecar, atomically.
+
+    A raster without a sidecar removes the one an earlier save left at
+    <path>.json, so load_raster does not return stale metadata.
+    """
     path = Path(path)
     nodata = "none" if raster.nodata is None else repr(float(raster.nodata))
     header = f"RFLT {raster.rows} {raster.cols} {nodata}\n".encode("ascii")
     body = raster.samples.astype("<f4", copy=False).tobytes(order="C")
     _atomic_write(path, header + body)
+    sidecar_path = path.with_name(path.name + ".json")
     if raster.sidecar:
         _atomic_write(
-            path.with_name(path.name + ".json"),
+            sidecar_path,
             (json.dumps(raster.sidecar, indent=2, sort_keys=True) + "\n").encode(),
         )
+    else:
+        sidecar_path.unlink(missing_ok=True)
 
 
 def _load_rflt(blob: bytes, path: Path) -> Raster:

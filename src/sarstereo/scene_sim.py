@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import gaussian_filter, maximum_filter
 
 from sarstereo.geometry import (
     BehindCamera,
@@ -134,47 +134,90 @@ def render_optical(
     marching downward in height and bisecting the first crossing, so marked
     ground points project into the rendered image within a fraction of a
     pixel.
+
+    The DEM is sampled only where a crossing is possible.  Between h_top and
+    the ground a ray's cell position moves along a segment, and the computed
+    position at any height in between lies on it too, since every floating
+    point step from height to cell is monotone.  So each ray gets an upper
+    bound of the surface under it: the DEM maximum over the bilinear
+    corners of that segment's cell box, plus a rounding slack, taken from
+    one maximum filter of the DEM whose window is the widest box of the
+    frame (a ray with a NaN direction gets h_top).  A bilinear sample never
+    exceeds its largest corner, so at a height above its bound a ray is
+    above the surface; the march and the bisection skip the sample there
+    and take the "not below" branch it would have given.  The image is the
+    one the full-frame march renders, bit for bit.  SceneNotVisible is
+    raised when the camera does not look down, or when no downward ray's
+    box overlaps the DEM.
     """
     grid = GroundGrid.from_raster(dem)
-    ground = float(dem.samples.min())
-    h_top = float(dem.samples.max()) + 1e-3
+    z = dem.samples
+    ground = float(z.min())
+    h_top = float(z.max()) + 1e-3
     rows, cols = shape
+    n_rays = rows * cols
 
     rr, cc = np.meshgrid(np.arange(rows, dtype=float),
                          np.arange(cols, dtype=float), indexing="ij")
-    w = opt_ray(model, rr, cc)
-    if not np.any(w[..., 2] < 0):
+    w = opt_ray(model, rr, cc).reshape(n_rays, 3)
+    if not np.any(w[:, 2] < 0):
         raise SceneNotVisible("camera does not look downward")
 
-    def surface_at(h):
-        p = ray_at_height(model.pc, w, h)
-        return bilinear(dem.samples, *grid.cell_of(p[..., 0], p[..., 1]), ground)
+    def cell_at(idx, h):
+        p = ray_at_height(model.pc, w[idx], h)
+        return grid.cell_of(p[:, 0], p[:, 1])
+
+    def surface_at(idx, h):
+        return bilinear(z, *cell_at(idx, h), ground)
+
+    # each ray's cell box, (row, col) by ray: the first and last bilinear
+    # corner it can touch between h_top and the ground
+    every = slice(None)
+    top, bottom = np.array(cell_at(every, h_top)), np.array(cell_at(every, ground))
+    finite = np.isfinite(top).all(axis=0)
+    lo_pos = np.where(finite, np.minimum(top, bottom), 0.0)
+    hi_pos = np.where(finite, np.maximum(top, bottom), 0.0)
+    cells = np.array(z.shape)[:, None]
+    first = np.clip(np.floor(lo_pos), 0, np.maximum(cells - 2, 0))
+    last = np.clip(np.floor(hi_pos) + 1, first, cells - 1)
+    overlaps = np.all((lo_pos <= cells - 1) & (hi_pos >= 0), axis=0)
+    if not np.any(finite & overlaps & (w[:, 2] < 0)):
+        raise SceneNotVisible("no downward ray of the frame crosses the DEM")
+    # the window [first, first + size) holds every ray's box
+    size = tuple(int(s) + 1 for s in (last - first).max(axis=1))
+    box_max = maximum_filter(z, size=size, mode="nearest",
+                             origin=tuple(-(s // 2) for s in size))
+    # a bilinear sample may exceed its largest corner by a few ulps
+    slack = 1e-12 * (1.0 + float(np.abs(z).max()))
+    bound = np.where(finite, box_max[tuple(first.astype(int))] + slack, h_top)
 
     n_steps = max(2, min(160, int(np.ceil((h_top - ground) / (grid.step / 2)))))
     heights = np.linspace(h_top, ground, n_steps + 1)
-    hit_hi = np.full(shape, ground)
-    hit_lo = np.full(shape, ground)
-    undecided = np.ones(shape, dtype=bool)
+    hit_hi = np.full(n_rays, ground)
+    hit_lo = np.full(n_rays, ground)
+    undecided = np.ones(n_rays, dtype=bool)
     prev_h = heights[0]
     for h in heights:
         if not undecided.any():
             break
-        surf = surface_at(h)
-        crossed = undecided & (surf >= h)
+        idx = np.flatnonzero(undecided & (bound >= h))
+        crossed = idx[surface_at(idx, h) >= h]
         hit_hi[crossed] = prev_h
         hit_lo[crossed] = h
-        undecided &= ~crossed
+        undecided[crossed] = False
         prev_h = h
     # bisect the crossing height; rays that never crossed sit on the ground
     lo, hi = hit_lo.copy(), hit_hi.copy()
     for _ in range(22):
         mid = 0.5 * (lo + hi)
-        below = surface_at(mid) >= mid
+        idx = np.flatnonzero(bound >= mid)
+        below = np.zeros(n_rays, dtype=bool)
+        below[idx] = surface_at(idx, mid[idx]) >= mid[idx]
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     p = ray_at_height(model.pc, w, 0.5 * (lo + hi))
-    img = bilinear(reflectance.samples, *grid.cell_of(p[..., 0], p[..., 1]),
-                   float(reflectance.samples.mean()))
+    img = bilinear(reflectance.samples, *grid.cell_of(p[:, 0], p[:, 1]),
+                   float(reflectance.samples.mean())).reshape(shape)
     if noise.optical_sigma > 0:
         rng = np.random.default_rng(noise.seed + 1)
         img = img + rng.normal(0.0, noise.optical_sigma, img.shape)
@@ -233,11 +276,13 @@ def render_sar(
 ) -> Raster:
     """Forward-project the scene into the slant-range grid.
 
-    Every ground cell of a supersampled, track-aligned grid is mapped through
-    the range-Doppler equations and splatted bilinearly into its (azimuth
-    row, range col) bin; multiple surfaces binned together accumulate
-    (layover), shadowed cells are darkened, and gamma-distributed speckle
-    with the configured number of looks multiplies the result.
+    Every ground cell of a supersampled, track-aligned grid that carries
+    energy is mapped through the range-Doppler equations and splatted
+    bilinearly into its (azimuth row, range col) bin; multiple surfaces
+    binned together accumulate (layover), shadowed cells are darkened, and
+    gamma-distributed speckle with the configured number of looks multiplies
+    the result.  SceneOutsideSwath is raised when the cells that carry
+    energy all project outside the grid.
     """
     grid = GroundGrid.from_raster(dem)
     rows_out, cols_out = shape
@@ -260,11 +305,16 @@ def render_sar(
     )
     weight = refl * (0.25 + 0.75 * cos_inc)
     weight = np.where(_shadow_mask(dw, hg, z_s), 0.03 * weight, weight)
+    # only samples that carry energy are projected: the rest, off the DEM
+    # with fill reflectance 0 among them, would add +0.0 to every bin
+    lit = weight != 0
+    xg, yg, hg, weight = xg[lit], yg[lit], hg[lit], weight[lit]
 
     t, slant = sar_forward_array(model, np.stack([xg, yg, hg], axis=-1))
     row = (t - model.t0) / model.az_time_per_row
     col = (slant - model.r_near) / model.range_per_col
-    if row.min() > rows_out - 1 or row.max() < 0 or col.min() > cols_out - 1 or col.max() < 0:
+    if row.size and (row.min() > rows_out - 1 or row.max() < 0
+                     or col.min() > cols_out - 1 or col.max() < 0):
         raise SceneOutsideSwath("scene footprint misses the SAR grid entirely")
 
     # energy conservation: a ground sub-cell of size sub x sub covers

@@ -82,6 +82,15 @@ class TestRflt:
         back = load_raster(path)
         assert back.sidecar["geotransform"]["step"] == 0.5
 
+    def test_save_without_sidecar_removes_stale_one(self, tmp_path):
+        path = tmp_path / "geo.rflt"
+        save_raster(Raster(samples=np.ones((3, 3), dtype=np.float32),
+                           sidecar={"geotransform": {"x0": 1.0, "y0": 2.0, "step": 0.5}}),
+                    path)
+        save_raster(Raster(samples=np.zeros((2, 2), dtype=np.float32)), path)
+        assert not (tmp_path / "geo.rflt.json").exists()
+        assert load_raster(path).sidecar == {}
+
 
 class TestPgm:
     def test_16bit_pgm(self, tmp_path):
@@ -111,6 +120,14 @@ class TestRasterType:
         s = np.array([[1.0, 2.0], [-9999.0, 3.0]], dtype=np.float32)
         r = Raster(samples=s, nodata=-9999.0)
         assert r.mean() == pytest.approx(2.0)
+
+    def test_nan_nodata_excluded(self, tmp_path):
+        r = Raster(samples=[[1.0, np.nan], [3.0, 5.0]], nodata=np.nan)
+        path = tmp_path / "nan.rflt"
+        save_raster(r, path)
+        for raster in (r, load_raster(path)):
+            assert raster.valid_mask().tolist() == [[True, False], [True, True]]
+            assert raster.mean() == 3.0
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):

@@ -4,14 +4,26 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sarstereo.geometry import GroundPoint, OpticalSensorModel, opt_forward, sar_forward
+from sarstereo import scene_sim
+from sarstereo.geometry import (
+    GroundPoint,
+    OpticalSensorModel,
+    opt_forward,
+    opt_ray,
+    ray_at_height,
+    sar_forward,
+    sar_forward_array,
+)
 from sarstereo.intersection import ObservationWeights, intersect
-from sarstereo.raster import GroundGrid, Raster, bilinear
+from sarstereo.raster import GroundGrid, Raster, bilinear, linear_bins, soft_histogram
 from sarstereo.scene_sim import (
     Building,
     Correspondence,
     RenderNoise,
+    SceneNotVisible,
     SceneOutsideSwath,
     SceneSpec,
     TruthSet,
@@ -70,7 +82,120 @@ class TestMakeScene:
                       buildings=(Building(rect=(40, 40, 60, 60), height=5.0),))
 
 
+def _render_optical_oracle(dem, reflectance, model, shape):
+    """Noise-free render_optical by the full-frame march: the DEM is sampled
+    for every pixel at every march height and every bisection step."""
+    grid = GroundGrid.from_raster(dem)
+    ground = float(dem.samples.min())
+    h_top = float(dem.samples.max()) + 1e-3
+    rows, cols = shape
+    rr, cc = np.meshgrid(np.arange(rows, dtype=float),
+                         np.arange(cols, dtype=float), indexing="ij")
+    w = opt_ray(model, rr, cc)
+
+    def surface_at(h):
+        p = ray_at_height(model.pc, w, h)
+        return bilinear(dem.samples, *grid.cell_of(p[..., 0], p[..., 1]), ground)
+
+    n_steps = max(2, min(160, int(np.ceil((h_top - ground) / (grid.step / 2)))))
+    heights = np.linspace(h_top, ground, n_steps + 1)
+    hit_hi = np.full(shape, ground)
+    hit_lo = np.full(shape, ground)
+    undecided = np.ones(shape, dtype=bool)
+    prev_h = heights[0]
+    for h in heights:
+        if not undecided.any():
+            break
+        crossed = undecided & (surface_at(h) >= h)
+        hit_hi[crossed] = prev_h
+        hit_lo[crossed] = h
+        undecided &= ~crossed
+        prev_h = h
+    lo, hi = hit_lo.copy(), hit_hi.copy()
+    for _ in range(22):
+        mid = 0.5 * (lo + hi)
+        below = surface_at(mid) >= mid
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    p = ray_at_height(model.pc, w, 0.5 * (lo + hi))
+    img = bilinear(reflectance.samples, *grid.cell_of(p[..., 0], p[..., 1]),
+                   float(reflectance.samples.mean()))
+    return img.astype(np.float32)
+
+
+@st.composite
+def optical_views(draw):
+    """A box-city scene with a drawn ground height, one building over 80 m
+    (so the march's 160-step cap applies) and a camera 300 m to 700 km up,
+    turned by any phi, omega in +-0.5 rad and any kappa, whose principal ray
+    meets the ground up to half the extent past the DEM's edge."""
+    gsd = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    ground = draw(st.floats(-40.0, 40.0).filter(lambda g: abs(g) > 1e-3))
+    tall, mid, low = (draw(st.floats(lo, hi)) for lo, hi in
+                      ((80.5, 120.0), (0.5, 80.0), (0.5, 30.0)))
+    spec = SceneSpec(
+        extent=(40.0, 30.0), gsd=gsd, ground_height=ground,
+        texture_seed=draw(st.integers(0, 99)),
+        buildings=(Building((4, 4, 14, 12), tall), Building((20, 6, 34, 16), mid),
+                   Building((8, 18, 26, 28), low)),
+    )
+    height = ground + draw(st.floats(300.0, 700e3))
+    phi, omega = (draw(st.floats(-0.5, 0.5)) for _ in range(2))
+    kappa = draw(st.floats(0.0, 2 * np.pi))
+    target = np.array([draw(st.floats(-20.0, 60.0)), draw(st.floats(-15.0, 45.0)), ground])
+    cam = OpticalSensorModel(pc=(0.0, 0.0, height), phi=phi, omega=omega, kappa=kappa,
+                             focal=(height - ground) / gsd, principal_row=7.5,
+                             principal_col=9.5)
+    axis = -cam.rotation[:, 2]
+    pc = target + (height - ground) / axis[2] * axis
+    return spec, dataclasses.replace(cam, pc=pc), (16, 20)
+
+
 class TestRenderOptical:
+    @settings(max_examples=60, deadline=None)
+    @given(optical_views())
+    def test_equals_full_frame_march(self, view):
+        spec, cam, shape = view
+        dem, refl = make_scene(spec)
+        expected = _render_optical_oracle(dem, refl, cam, shape)
+        try:
+            img = render_optical(dem, refl, cam, RenderNoise(), shape)
+        except SceneNotVisible:
+            # every ray missed the DEM, so the march gave the fill everywhere
+            assert np.all(expected == np.float32(refl.samples.mean()))
+            return
+        assert img.samples.tobytes() == expected.tobytes()
+
+    def test_samples_dem_only_where_a_crossing_is_possible(self, monkeypatch):
+        spec = SceneSpec(extent=(200.0, 160.0), texture_seed=4,
+                         buildings=(Building((20, 30, 48, 58), 68.0),
+                                    Building((120, 90, 145, 110), 25.0)))
+        dem, refl = make_scene(spec)
+        _, opt, _, opt_shape = canonical_scene_models(spec)
+        dem_elements = []
+
+        def counting(samples, r, c, fill):
+            if samples is dem.samples:
+                dem_elements.append(np.size(r))
+            return bilinear(samples, r, c, fill)
+
+        monkeypatch.setattr(scene_sim, "bilinear", counting)
+        render_optical(dem, refl, opt, RenderNoise(), opt_shape)
+        # the full-frame march samples 161 heights plus 22 bisection steps
+        assert sum(dem_elements) < 5 * opt_shape[0] * opt_shape[1]
+
+    @pytest.mark.parametrize("camera", ["off_scene", "looking_up"])
+    def test_scene_not_visible(self, camera):
+        spec = SceneSpec(extent=(100.0, 80.0), texture_seed=2)
+        dem, refl = make_scene(spec)
+        _, opt, _, opt_shape = canonical_scene_models(spec)
+        if camera == "off_scene":
+            opt = dataclasses.replace(opt, pc=(5000.0, 5000.0, 700e3))
+        else:
+            opt = dataclasses.replace(opt, phi=np.pi)
+        with pytest.raises(SceneNotVisible):
+            render_optical(dem, refl, opt, RenderNoise(), opt_shape)
+
     def test_flat_scene_is_resampled_texture(self):
         spec = SceneSpec(extent=(120, 120), texture_seed=5)
         dem, refl = make_scene(spec)
@@ -119,7 +244,60 @@ def _render_shadow(dem, sar, supersample=2):
     return (xg, yg, hg), _shadow_mask(dw, hg, float(sar.position(sar.t0)[2]))
 
 
+def _render_sar_oracle(dem, reflectance, model, shape, supersample=2):
+    """Noise-free render_sar that projects and splats every sample of the
+    track frame's bounding box of the DEM, those off the DEM included."""
+    grid = GroundGrid.from_raster(dem)
+    sub = grid.step / supersample
+    du, dw, xg, yg = _track_samples(grid, model, sub)
+    r_idx, c_idx = grid.cell_of(xg, yg)
+    hg = bilinear(dem.samples, r_idx, c_idx, float(dem.samples.min()))
+    refl = bilinear(reflectance.samples, r_idx, c_idx, 0.0)
+    gu, gw = np.gradient(hg, sub)
+    z_s = float(model.position(model.t0)[2])
+    look = np.stack(np.broadcast_arrays(dw, du[:, None], hg - z_s))
+    look /= np.linalg.norm(look, axis=0)
+    cos_inc = np.clip((gw * look[0] + gu * look[1] - look[2])
+                      / np.sqrt(gw * gw + gu * gu + 1.0), 0.0, 1.0)
+    weight = refl * (0.25 + 0.75 * cos_inc)
+    weight = np.where(_shadow_mask(dw, hg, z_s), 0.03 * weight, weight)
+    t, slant = sar_forward_array(model, np.stack([xg, yg, hg], axis=-1))
+    row = (t - model.t0) / model.az_time_per_row
+    col = (slant - model.r_near) / model.range_per_col
+    sz = model.s0[2] + (t - model.t0) * model.v[2]
+    sin_inc = np.sqrt(np.clip(1.0 - ((sz - hg) / slant) ** 2, 1e-6, 1.0))
+    density = (sub * sin_inc / model.range_per_col) * (
+        sub / (np.linalg.norm(model.v) * abs(model.az_time_per_row)))
+    img = soft_histogram((linear_bins(row, shape[0]), linear_bins(col, shape[1])),
+                         shape, weight * density)
+    return img.astype(np.float32), row.size
+
+
 class TestRenderSar:
+    @pytest.mark.parametrize("track", ["north", "30", "climbing"])
+    def test_projects_only_lit_samples_and_equals_full_box(self, track, monkeypatch):
+        spec = _city_spec(extent=(90.0, 40.0))
+        dem, refl = make_scene(spec)
+        sar, _, sar_shape, _ = canonical_scene_models(spec)
+        if track == "climbing":
+            sar = dataclasses.replace(sar, v=sar.v + np.array([0.0, 0.0, 0.5]))
+        elif track == "30":
+            sar = _rotated_track(sar, 30.0, (45.0, 20.0))
+        expected, n_box = _render_sar_oracle(dem, refl, sar, sar_shape)
+        projected = []
+
+        def counting(model, ground):
+            projected.append(ground[..., 0].size)
+            return sar_forward_array(model, ground)
+
+        monkeypatch.setattr(scene_sim, "sar_forward_array", counting)
+        img = render_sar(dem, refl, sar, RenderNoise(), sar_shape)
+        assert img.samples.tobytes() == expected.tobytes()
+        # at most the DEM's own 2 x 2 sub-cells per cell carry energy; the
+        # 30 degree track's box holds about twice as many samples
+        assert len(projected) == 1 and projected[0] <= 4 * dem.rows * dem.cols
+        assert track != "30" or n_box > 2 * projected[0]
+
     def test_point_targets_land_on_forward_projection(self):
         spec = SceneSpec(extent=(120, 120), texture_seed=11)
         dem, refl = make_scene(spec)
