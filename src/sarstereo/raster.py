@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -241,18 +242,29 @@ def soft_histogram(axes, shape: tuple[int, ...], weight) -> np.ndarray:
     The adjoint of bilinear sampling: each entry of axes is one output axis
     as a sequence of (index, weight) corners, two from linear_bins for a
     soft axis or one (index, None) for a hard one; the indices broadcast to
-    weight's shape.  Each sample adds weight times its corner weights to
-    every combination of corners.  One bincount runs per combination, in the
+    weight's shape and each lies in [0, n) of its axis, as linear_bins'
+    always do.  Each sample adds weight times its corner weights to every
+    combination of corners.  One bincount runs per combination, in the
     order of itertools.product, so only one combination's flat index and
     weights are alive at a time.
+
+    The flat index is stride arithmetic on the axes' indices, and the inputs
+    are only read, so axes that depend only on a window's geometry can be
+    built once and passed again: sarstereo.similarity caches the HOG/HOPC
+    cell index per (side, cell) and the SIFT spatial corners per scale as
+    read-only arrays.
     """
-    hist = np.zeros(int(np.prod(shape)))
+    weight = np.asarray(weight, dtype=float)
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    hist = np.zeros(math.prod(shape))
     for corner in itertools.product(*axes):
-        flat = np.ravel_multi_index([idx for idx, _ in corner], shape)
-        w = np.array(weight, dtype=float)
+        flat = corner[-1][0]  # the last axis has stride 1
+        for (idx, _), stride in zip(corner[:-1], strides):
+            flat = idx * stride + flat
+        w = weight
         for _, wi in corner:
             if wi is not None:
-                w *= wi
+                w = weight * wi if w is weight else np.multiply(w, wi, out=w)
         hist += np.bincount(flat.ravel(), weights=w.ravel(), minlength=hist.size)
         del flat, w  # freed before the next combination's are built
     return hist.reshape(shape)

@@ -13,6 +13,15 @@ pipelines are deterministic and reusable from dense per-image feature maps,
 which the matcher exploits to avoid recomputing transforms per-candidate.
 HOG, SIFT and HOPC bin their orientations with raster.soft_histogram.
 
+What depends only on a window's geometry is built once and cached as
+read-only arrays, so that an in-place write by a caller raises instead of
+altering later calls: the flat cell index of HOG and HOPC per (window side,
+cell), SIFT's footprint half-size, Gaussian weight and spatial bin corners
+per scale, and the log-Gabor filter bank of phase congruency per image
+shape.  A descriptor call then does only per-pixel work: the magnitudes, the
+orientation corners and one bincount per combination of corners.  A cell,
+bin count or scale out of range raises ValueError before any cache is read.
+
 A map-path descriptor (oriented_descriptor_from_maps, hopc_from_maps on a
 window of whole-image maps) is not the per-patch one, so score both sides of
 a comparison by the same path.  HOG differs on the window's border pixels,
@@ -27,6 +36,7 @@ the patch border.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -159,6 +169,27 @@ def nmi(i: Patch, j: Patch, bins: int = 64) -> SimilarityScore:
 # oriented-histogram machinery shared by HOG and HOPC
 # ---------------------------------------------------------------------------
 
+def _read_only(*arrays: np.ndarray) -> None:
+    """Lock cached arrays, so a caller's in-place write cannot alter later calls."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _check_cells(cell: int, bins: int) -> None:
+    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (cell, bins)):
+        raise ValueError(f"cell and bins must be integers >= 1, got {cell!r} and {bins!r}")
+
+
+@lru_cache(maxsize=16)
+def _cell_index(side: int, cell: int) -> np.ndarray:
+    """Flat cell index, row cell * n + column cell, of each pixel of the used window."""
+    n = side // cell
+    cell_of = np.arange(n * cell) // cell
+    index = cell_of[:, None] * n + cell_of[None, :]
+    _read_only(index)
+    return index
+
+
 def gradient_maps(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference gradients (gx along cols, gy along rows)."""
     gy, gx = np.gradient(np.asarray(image, dtype=float))
@@ -167,12 +198,21 @@ def gradient_maps(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _orientation_bins(ori: np.ndarray, period: float, bins: int):
     """linear_bins over a circular orientation axis of the given period."""
-    return linear_bins(np.mod(ori, period) / period * bins - 0.5, bins, wrap=True)
+    if ori.min() >= -period and ori.max() < period:
+        # np.mod's exact result on this range (an arctan2 angle, or an
+        # orientation map already reduced) at a fraction of its cost
+        ori = ori + (ori < 0) * period
+    else:
+        ori = np.mod(ori, period)
+    return linear_bins(ori / period * bins - 0.5, bins, wrap=True)
 
 
 def _block_normalize(hist: np.ndarray) -> np.ndarray:
     """L2-normalize each cell by its 2x2 block (clamped at the far edges)."""
-    energy = np.pad(np.sum(hist * hist, axis=2), ((0, 1), (0, 1)))
+    rows, cols = hist.shape[:2]
+    # the cell energies with a zero row and column past the far edges
+    energy = np.zeros((rows + 1, cols + 1))
+    energy[:-1, :-1] = np.sum(hist * hist, axis=2)
     block = energy[:-1, :-1] + energy[1:, :-1] + energy[:-1, 1:] + energy[1:, 1:]
     return hist / np.sqrt(block + HOG_EPS**2)[..., None]
 
@@ -186,6 +226,7 @@ def oriented_descriptor_from_maps(
     last whole cell are ignored.  Orientations are unsigned (period pi) and
     split linearly between the two nearest of the bins.
     """
+    _check_cells(cell, bins)
     side = mag.shape[0]
     if mag.shape != ori.shape or mag.shape != (side, side) or side // cell < 2:
         raise ValueError(
@@ -194,14 +235,14 @@ def oriented_descriptor_from_maps(
         )
     n = side // cell
     used = n * cell
-    cell_of = np.arange(used) // cell
     hist = soft_histogram(
-        ([(cell_of[:, None], None)], [(cell_of[None, :], None)],
+        ([(_cell_index(side, cell), None)],
          _orientation_bins(ori[:used, :used], np.pi, bins)),
-        (n, n, bins),
+        (n * n, bins),
         mag[:used, :used],
     )
-    return Descriptor(values=_block_normalize(hist).ravel(), layout=(n, n, bins))
+    hist = _block_normalize(hist.reshape(n, n, bins))
+    return Descriptor(values=hist.ravel(), layout=(n, n, bins))
 
 
 def hog_descriptor(p: Patch, cell: int = 17, bins: int = 8) -> Descriptor:
@@ -215,6 +256,23 @@ def hog_descriptor(p: Patch, cell: int = 17, bins: int = 8) -> Descriptor:
 # ---------------------------------------------------------------------------
 # SIFT descriptor at fixed scale and orientation
 # ---------------------------------------------------------------------------
+
+SIFT_CELLS = 4  # spatial cells per side
+
+
+@lru_cache(maxsize=8)
+def _sift_layout(scale: float):
+    """Footprint half-size, Gaussian weight and spatial corners at this scale."""
+    half = int(round(SIFT_CELLS / 2 * scale))
+    off = np.arange(-half, half + 1, dtype=float)
+    # whole footprints: the per-corner products run faster without broadcasting
+    du, dv = np.meshgrid(off, off)  # dv rows, du cols
+    gauss = np.exp(-(du * du + dv * dv) / (2.0 * scale * scale))
+    rows = linear_bins(dv / scale + (SIFT_CELLS - 1) / 2.0, SIFT_CELLS)
+    cols = linear_bins(du / scale + (SIFT_CELLS - 1) / 2.0, SIFT_CELLS)
+    _read_only(gauss, *(a for corner in rows + cols for a in corner))
+    return half, gauss, rows, cols
+
 
 def sift_from_gradients(
     gx: np.ndarray,
@@ -230,23 +288,20 @@ def sift_from_gradients(
     to the scale, trilinear interpolation, then the usual normalize / clip
     at 0.2 / renormalize.
     """
-    d = 4
-    half = int(round(d / 2 * scale))
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"SIFT scale must be finite and positive, got {scale!r}")
+    d = SIFT_CELLS
+    half, gauss, rows, cols = _sift_layout(scale)
     r0, r1 = center_row - half, center_row + half + 1
     c0, c1 = center_col - half, center_col + half + 1
     if r0 < 0 or c0 < 0 or r1 > gx.shape[0] or c1 > gx.shape[1]:
         raise ValueError("patch too small for the 4x4-cell footprint")
     wx = gx[r0:r1, c0:c1]
     wy = gy[r0:r1, c0:c1]
-    off = np.arange(-half, half + 1, dtype=float)
-    du, dv = np.meshgrid(off, off)  # dv rows, du cols
-    weight = np.hypot(wx, wy) * np.exp(-(du * du + dv * dv) / (2.0 * scale * scale))
     hist = soft_histogram(
-        (linear_bins(dv / scale + (d - 1) / 2.0, d),
-         linear_bins(du / scale + (d - 1) / 2.0, d),
-         _orientation_bins(np.arctan2(wy, wx), 2 * np.pi, 8)),
+        (rows, cols, _orientation_bins(np.arctan2(wy, wx), 2 * np.pi, 8)),
         (d, d, 8),
-        weight,
+        np.hypot(wx, wy) * gauss,
     )
     vec = hist.ravel()
     norm = np.linalg.norm(vec)
@@ -278,7 +333,11 @@ def _log_gabor_bank(
     mult: float,
     sigma_onf: float,
 ):
-    """Frequency-domain log-Gabor filters: radial parts and angular spreads."""
+    """Frequency-domain log-Gabor filters: radial parts and angular spreads.
+
+    The filters are cached per shape and read-only: every later call of that
+    shape shares them.
+    """
     rows, cols = shape
     fy = np.fft.fftshift(np.fft.fftfreq(rows))
     fx = np.fft.fftshift(np.fft.fftfreq(cols))
@@ -310,7 +369,8 @@ def _log_gabor_bank(
         dc = costheta * np.cos(angle) + sintheta * np.sin(angle)
         dtheta = np.minimum(np.abs(np.arctan2(ds, dc)) * orientations / 2, np.pi)
         spreads.append(np.fft.ifftshift((np.cos(dtheta) + 1) / 2))
-    return radials, spreads
+    _read_only(*radials, *spreads)
+    return tuple(radials), tuple(spreads)
 
 
 def phase_congruency_maps(
@@ -344,6 +404,8 @@ def phase_congruency_maps(
     radials, spreads = _log_gabor_bank(
         img.shape, scales, orientations, min_wavelength, mult, sigma_onf
     )
+    # the spectrum through each radial filter, shared by every orientation
+    by_scale = [fimg * radial for radial in radials]
 
     numer_total = np.zeros(img.shape)
     sum_an_total = np.zeros(img.shape)
@@ -355,7 +417,7 @@ def phase_congruency_maps(
         eo = []
         tau = 0.0
         for s in range(scales):
-            resp = np.fft.ifft2(fimg * radials[s] * spreads[o])
+            resp = np.fft.ifft2(by_scale[s] * spreads[o])
             e, od = resp.real, resp.imag
             an = np.abs(resp)
             eo.append((e, od))
@@ -426,6 +488,7 @@ def hopc_descriptor(
     """HOG-style descriptor over phase congruency instead of gradients."""
     # the filter bank needs 32 px and the descriptor 2x2 cells: check both
     # before running the filter bank
+    _check_cells(cell, bins)
     if p.template_size < max(32, 2 * cell):
         raise ValueError(f"patch side must be at least 32 and span 2x2 cells of {cell} px")
     pc, ori = phase_congruency_maps(p.samples, scales, orientations)

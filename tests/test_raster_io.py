@@ -207,6 +207,22 @@ def splat_loop(positions, shape, wraps, weight):
     return hist
 
 
+def soft_histogram_ravel(axes, shape, weight):
+    """The binning core with np.ravel_multi_index and a weight copy per combination.
+
+    test_similarity.py holds the same oracle for its descriptor kernels.
+    """
+    hist = np.zeros(int(np.prod(shape)))
+    for corner in itertools.product(*axes):
+        flat = np.ravel_multi_index([idx for idx, _ in corner], shape)
+        w = np.array(weight, dtype=float)
+        for _, wi in corner:
+            if wi is not None:
+                w *= wi
+        hist += np.bincount(flat.ravel(), weights=w.ravel(), minlength=hist.size)
+    return hist.reshape(shape)
+
+
 class TestSoftHistogram:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -222,11 +238,11 @@ class TestSoftHistogram:
         # positions reach a bin and a half past either end, so corners fall off
         positions = [rng.uniform(-1.5, n + 0.5, count) for n in shape]
         weight = rng.uniform(-1.0, 2.0, count)
-        got = soft_histogram(
-            [linear_bins(p, n, wrap) for p, n, wrap in zip(positions, shape, wraps)],
-            shape, weight,
-        )
+        axes = [linear_bins(p, n, wrap) for p, n, wrap in zip(positions, shape, wraps)]
+        got = soft_histogram(axes, shape, weight)
         assert got.shape == shape
+        # stride arithmetic adds in the same order as the ravel_multi_index form
+        assert got.tobytes() == soft_histogram_ravel(axes, shape, weight).tobytes()
         np.testing.assert_allclose(got, splat_loop(positions, shape, wraps, weight),
                                    rtol=0, atol=1e-12)
 
@@ -234,11 +250,11 @@ class TestSoftHistogram:
         rng = np.random.default_rng(4)
         weight = rng.uniform(0, 1, (6, 6))
         cell = np.arange(6) // 3
-        hist = soft_histogram(
-            ([(cell[:, None], None)], [(cell[None, :], None)]), (2, 2), weight
-        )
+        axes = ([(cell[:, None], None)], [(cell[None, :], None)])
+        hist = soft_histogram(axes, (2, 2), weight)
         expected = weight.reshape(2, 3, 2, 3).sum(axis=(1, 3))
         np.testing.assert_allclose(hist, expected, rtol=0, atol=1e-12)
+        assert hist.tobytes() == soft_histogram_ravel(axes, (2, 2), weight).tobytes()
 
     def test_off_range_neighbour_gets_zero_weight(self):
         (lo, w_lo), (hi, w_hi) = linear_bins([-0.25, 2.5], 3)

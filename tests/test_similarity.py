@@ -1,12 +1,18 @@
 """Tests for the five patch similarity measures."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 from sarstereo import similarity
+from sarstereo.raster import linear_bins
 from sarstereo.similarity import (
     HOG_EPS,
+    HOPC_PC_FLOOR,
     SIFT_CLIP,
     ConstantPatch,
     DegenerateHistogram,
@@ -413,3 +419,194 @@ class TestSoftBinningKernels:
             oriented_descriptor_from_maps(mag, ori, 17, 8)
         with pytest.raises(ValueError):
             hopc_from_maps(mag, ori, 17, 8)
+
+
+# ---------------------------------------------------------------------------
+# the per-geometry layouts against the kernels that rebuilt them on every call
+# ---------------------------------------------------------------------------
+
+def soft_histogram_ravel(axes, shape, weight):
+    """The binning core with np.ravel_multi_index and a weight copy per combination.
+
+    The same oracle as in test_raster_io.py, which checks the core itself;
+    test modules import no other test module.
+    """
+    hist = np.zeros(int(np.prod(shape)))
+    for corner in itertools.product(*axes):
+        flat = np.ravel_multi_index([idx for idx, _ in corner], shape)
+        w = np.array(weight, dtype=float)
+        for _, wi in corner:
+            if wi is not None:
+                w *= wi
+        hist += np.bincount(flat.ravel(), weights=w.ravel(), minlength=hist.size)
+    return hist.reshape(shape)
+
+
+def orientation_bins_mod(ori, period, bins):
+    return linear_bins(np.mod(ori, period) / period * bins - 0.5, bins, wrap=True)
+
+
+def block_normalize_pad(hist):
+    energy = np.pad(np.sum(hist * hist, axis=2), ((0, 1), (0, 1)))
+    block = energy[:-1, :-1] + energy[1:, :-1] + energy[:-1, 1:] + energy[1:, 1:]
+    return hist / np.sqrt(block + HOG_EPS**2)[..., None]
+
+
+def oriented_rebuilt(mag, ori, cell, bins):
+    """oriented_descriptor_from_maps with its cell index built per call."""
+    n = mag.shape[0] // cell
+    used = n * cell
+    cell_of = np.arange(used) // cell
+    hist = soft_histogram_ravel(
+        ([(cell_of[:, None], None)], [(cell_of[None, :], None)],
+         orientation_bins_mod(ori[:used, :used], np.pi, bins)),
+        (n, n, bins),
+        mag[:used, :used],
+    )
+    return block_normalize_pad(hist).ravel()
+
+
+def sift_rebuilt(gx, gy, row, col, scale):
+    """sift_from_gradients with its Gaussian and spatial bins built per call."""
+    d = 4
+    half = int(round(d / 2 * scale))
+    wx = gx[row - half : row + half + 1, col - half : col + half + 1]
+    wy = gy[row - half : row + half + 1, col - half : col + half + 1]
+    off = np.arange(-half, half + 1, dtype=float)
+    du, dv = np.meshgrid(off, off)
+    weight = np.hypot(wx, wy) * np.exp(-(du * du + dv * dv) / (2.0 * scale * scale))
+    hist = soft_histogram_ravel(
+        (linear_bins(dv / scale + (d - 1) / 2.0, d),
+         linear_bins(du / scale + (d - 1) / 2.0, d),
+         orientation_bins_mod(np.arctan2(wy, wx), 2 * np.pi, 8)),
+        (d, d, 8),
+        weight,
+    )
+    vec = hist.ravel()
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec = np.minimum(vec / norm, SIFT_CLIP)
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec = vec / norm
+    return vec
+
+
+def orientation_map(rng, shape, reduced):
+    """Angles within [-pi, pi), or beyond it, salted with the ends of the period."""
+    ori = rng.uniform(-np.pi, np.pi, shape) if reduced else rng.uniform(-4.0, 4.0, shape)
+    salt = rng.random(shape) < 0.1
+    ori[salt] = rng.choice([0.0, -0.0, -np.pi, -1e-300, np.nextafter(np.pi, 0)], salt.sum())
+    return ori
+
+
+def gradient_field(rng, shape):
+    """Gradients with zeros of both signs, so that arctan2 returns 0, -0, pi and -pi."""
+    g = rng.standard_normal((2,) + shape)
+    g[rng.random(g.shape) < 0.1] = 0.0
+    g[rng.random(g.shape) < 0.1] = -0.0
+    return g
+
+
+class TestLayoutCaches:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        geometries=st.lists(
+            st.tuples(st.integers(2, 5), st.integers(1, 12), st.integers(0, 11),
+                      st.integers(1, 12), st.floats(0.2, 6.0), st.booleans()),
+            min_size=2, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernels_equal_rebuilt_kernels(self, geometries, seed):
+        rng = np.random.default_rng(seed)
+        # every geometry twice, interleaved, so a cache entry keyed too
+        # coarsely would serve one geometry's layout to another
+        for cells, cell, rest, bins, scale, reduced in geometries * 2:
+            side = cells * cell + rest % cell
+            ori = orientation_map(rng, (side, side), reduced)
+            mag = rng.uniform(0, 3, (side, side))
+            got = oriented_descriptor_from_maps(mag, ori, cell, bins).values
+            assert got.tobytes() == oriented_rebuilt(mag, ori, cell, bins).tobytes()
+            pc = rng.uniform(0, 1, (side, side))
+            floored = np.where(pc >= HOPC_PC_FLOOR, pc, 0.0)
+            got = hopc_from_maps(pc, ori, cell, bins).values
+            assert got.tobytes() == oriented_rebuilt(floored, ori, cell, bins).tobytes()
+            half = int(round(2 * scale))
+            gx, gy = gradient_field(rng, (2 * half + 4, 2 * half + 6))
+            row = int(rng.integers(half, gx.shape[0] - half))
+            col = int(rng.integers(half, gx.shape[1] - half))
+            got = sift_from_gradients(gx, gy, row, col, scale).values
+            assert got.tobytes() == sift_rebuilt(gx, gy, row, col, scale).tobytes()
+
+    def test_one_geometry_builds_its_layout_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        mag, pc = rng.uniform(0, 1, (2, 51, 51))
+        ori = np.mod(rng.uniform(-4, 4, (51, 51)), np.pi)
+        gx, gy = rng.standard_normal((2, 60, 70))
+
+        def describe():
+            oriented_descriptor_from_maps(mag, ori, 17, 8)
+            hopc_from_maps(pc, ori, 17, 8)
+            sift_from_gradients(gx, gy, 30, 35, 10.0)
+
+        describe()  # warm-up: the one build of each layout
+        cells, sift = similarity._cell_index.cache_info(), similarity._sift_layout.cache_info()
+        rebuilt = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                rebuilt.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("ravel_multi_index", "pad", "meshgrid"):
+            monkeypatch.setattr(np, name, recording(name, getattr(np, name)))
+        for _ in range(100):
+            describe()
+        assert rebuilt == []
+        after_cells = similarity._cell_index.cache_info()
+        after_sift = similarity._sift_layout.cache_info()
+        assert (after_cells.misses, after_sift.misses) == (cells.misses, sift.misses)
+        assert (after_cells.hits - cells.hits, after_sift.hits - sift.hits) == (200, 100)
+
+    def test_cached_arrays_are_read_only(self):
+        radials, spreads = similarity._log_gabor_bank((40, 44), 4, 6, 3.0, 2.1, 0.55)
+        _, gauss, rows, cols = similarity._sift_layout(10.0)
+        cached = [*radials, *spreads, similarity._cell_index(51, 17), gauss]
+        cached += [a for corner in rows + cols for a in corner]
+        for a in cached:
+            with pytest.raises(ValueError):
+                a *= 2
+
+
+class TestDescriptorParameters:
+    @pytest.mark.parametrize("scale", [-10.0, 0.0, np.nan, np.inf, -np.inf])
+    def test_sift_rejects_scale(self, scale):
+        gx, gy = np.random.default_rng(4).standard_normal((2, 100, 100))
+        before = similarity._sift_layout.cache_info()
+        with pytest.raises(ValueError, match="scale"):
+            sift_from_gradients(gx, gy, 50, 50, scale=scale)
+        with pytest.raises(ValueError, match="scale"):
+            sift_descriptor(Patch(gx[:51, :51]), scale=scale)
+        assert similarity._sift_layout.cache_info() == before
+
+    @pytest.mark.parametrize("cell, bins", [(0, 8), (-17, 8), (2.5, 8), (17, 0), (17, -1),
+                                            (17, 8.0)])
+    def test_cells_and_bins_rejected(self, cell, bins, monkeypatch):
+        def no_filter_bank(*args, **kwargs):
+            pytest.fail("the filter bank ran with invalid cell or bins")
+
+        monkeypatch.setattr(similarity, "phase_congruency_maps", no_filter_bank)
+        rng = np.random.default_rng(5)
+        mag, ori = rng.uniform(0, 1, (2, 51, 51))
+        patch = Patch(smooth_field(51, seed=5))
+        before = similarity._cell_index.cache_info()
+        for describe in (
+            lambda: oriented_descriptor_from_maps(mag, ori, cell, bins),
+            lambda: hopc_from_maps(mag, ori, cell, bins),
+            lambda: hog_descriptor(patch, cell, bins),
+            lambda: hopc_descriptor(patch, cell, bins),
+        ):
+            with pytest.raises(ValueError, match="cell and bins"):
+                describe()
+        assert similarity._cell_index.cache_info() == before
