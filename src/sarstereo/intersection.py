@@ -9,10 +9,23 @@ matrix.
 All residuals are made commensurable before weighting: the Doppler equation
 is scaled to meters (divided by |v|), then every component is divided by the
 standard deviation of its measurement.
+
+A solve makes no LAPACK call.  The terms fixed by the observations (the SAR
+position at the observed time, the Doppler row of the Jacobian and the
+reciprocal sigmas) are computed once per solve.  The symmetric 3x3 normal
+matrix N = J'J is built as its six unique entries and inverted by a
+closed-form Cholesky factorization; a non-finite N or J'r, or a
+non-positive pivot, is a SingularNormalMatrix.  The condition number is
+estimated as lambda_max(N) * lambda_max(N^-1), both largest eigenvalues in
+closed form (Smith, "Eigenvalues of a symmetric 3x3 matrix", CACM 1961):
+the closed-form largest root stays accurate when eigenvalues repeat, where
+the smallest root of a nearly rank-one N would not.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +63,7 @@ class ObservationWeights:
     """Standard deviations of the four observations.
 
     sigma_t in seconds, sigma_r in meters, sigma_px in pixels (shared by the
-    optical row and col).
+    optical row and col).  Each must be finite and > 0.
     """
 
     sigma_t: float
@@ -58,8 +71,9 @@ class ObservationWeights:
     sigma_px: float = 0.5
 
     def __post_init__(self):
-        if not (self.sigma_t > 0 and self.sigma_r > 0 and self.sigma_px > 0):
-            raise ValueError("all observation sigmas must be > 0")
+        if not all(math.isfinite(s) and s > 0
+                   for s in (self.sigma_t, self.sigma_r, self.sigma_px)):
+            raise ValueError("all observation sigmas must be finite and > 0")
 
     @staticmethod
     def half_pixel(model: SarSensorModel, sigma_px: float = 0.5) -> "ObservationWeights":
@@ -79,50 +93,178 @@ class IntersectionResult:
     rms_residual: float
 
 
-def _linearize(
-    sar_model: SarSensorModel,
-    opt_model: OpticalSensorModel,
-    sar_obs: SarObservation,
-    opt_obs: ImagePoint,
-    pa: np.ndarray,
-    weights: ObservationWeights,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted residuals (see residuals) and their 4x3 Jacobian at pa (3,).
+class _TiePoint:
+    """The four weighted observation equations of one tie point.
 
-    Raises BehindCamera when pa is not in front of the optical camera.
+    Every term that does not depend on the point being tried is computed
+    once, here: the SAR position at the observed time, the constant Doppler
+    row v / (|v|^2 sigma_t) of the Jacobian and the reciprocal sigmas.
     """
-    s = sar_model.position(sar_obs.t)
-    v = sar_model.v
-    vnorm = np.sqrt(v.dot(v))
-    d = pa - s
-    r_pred = np.sqrt(d.dot(d))
-    doppler_m = float(np.dot(v, d)) / vnorm
 
-    q = camera_frame(opt_model, pa)
-    if not in_front(q):
-        raise BehindCamera("point behind the optical camera")
-    row_pred, col_pred = collinearity(opt_model, q)
-    res = np.array(
-        [
-            (r_pred - sar_obs.r) / weights.sigma_r,
-            doppler_m / (vnorm * weights.sigma_t),
-            (row_pred - opt_obs.row) / weights.sigma_px,
-            (col_pred - opt_obs.col) / weights.sigma_px,
-        ]
+    __slots__ = ("opt_model", "s", "doppler_row", "r", "w_r", "row", "col",
+                 "w_px", "focal", "rot_cols")
+
+    def __init__(
+        self,
+        sar_model: SarSensorModel,
+        opt_model: OpticalSensorModel,
+        sar_obs: SarObservation,
+        opt_obs: ImagePoint,
+        weights: ObservationWeights,
+    ):
+        v = sar_model.v.tolist()
+        scale = 1.0 / (sum(c * c for c in v) * weights.sigma_t)
+        self.opt_model = opt_model
+        self.s = sar_model.position(sar_obs.t).tolist()
+        self.doppler_row = tuple(c * scale for c in v)
+        self.r = float(sar_obs.r)
+        self.w_r = 1.0 / weights.sigma_r
+        self.row = float(opt_obs.row)
+        self.col = float(opt_obs.col)
+        self.w_px = 1.0 / weights.sigma_px
+        self.focal = opt_model.focal
+        self.rot_cols = opt_model.rotation.T.tolist()
+
+    def linearize(self, p: tuple) -> tuple[tuple, tuple]:
+        """Weighted residuals (see residuals) and their 4x3 Jacobian, by rows,
+        at p = (x, y, h).
+
+        Raises BehindCamera when p is not in front of the optical camera.  At
+        the SAR sensor position the range row of the Jacobian is NaN.
+        """
+        q = camera_frame(self.opt_model, np.array(p))
+        if not in_front(q):
+            raise BehindCamera("point behind the optical camera")
+        row_pred, col_pred = collinearity(self.opt_model, q)
+        qx, qy, qz = q.tolist()
+
+        sx, sy, sz = self.s
+        dx, dy, dz = p[0] - sx, p[1] - sy, p[2] - sz
+        r_pred = math.sqrt(dx * dx + dy * dy + dz * dz)
+        gx, gy, gz = self.doppler_row
+        res = (
+            (r_pred - self.r) * self.w_r,
+            dx * gx + dy * gy + dz * gz,
+            (float(row_pred) - self.row) * self.w_px,
+            (float(col_pred) - self.col) * self.w_px,
+        )
+
+        # d(f*qi/q3)/dp = (f/q3) * (R[:,i] - (qi/q3) * R[:,2])
+        k = self.focal * self.w_px / qz
+        u, w = qy / qz, qx / qz
+        (r0x, r0y, r0z), (r1x, r1y, r1z), (r2x, r2y, r2z) = self.rot_cols
+        kr = self.w_r / r_pred if r_pred > 0 else math.nan
+        jac = (
+            (dx * kr, dy * kr, dz * kr),
+            self.doppler_row,
+            (k * (r1x - u * r2x), k * (r1y - u * r2y), k * (r1z - u * r2z)),
+            (k * (r0x - w * r2x), k * (r0y - w * r2y), k * (r0z - w * r2z)),
+        )
+        return res, jac
+
+
+def _normal_equations(res: tuple, jac: tuple) -> tuple[tuple, tuple]:
+    """The six unique entries of N = J'J (n11 n12 n13 n22 n23 n33) and J'r."""
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = jac
+    r0, r1, r2, r3 = res
+    normal = (
+        a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3,
+        a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3,
+        a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3,
+        b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3,
+        b0 * c0 + b1 * c1 + b2 * c2 + b3 * c3,
+        c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3,
+    )
+    grad = (
+        a0 * r0 + a1 * r1 + a2 * r2 + a3 * r3,
+        b0 * r0 + b1 * r1 + b2 * r2 + b3 * r3,
+        c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3,
+    )
+    return normal, grad
+
+
+def _spd_inverse(normal: tuple) -> tuple:
+    """Inverse of a symmetric positive definite 3x3 matrix, both as six
+    unique entries, by Cholesky N = LL' and N^-1 = M'M with M = L^-1.
+
+    Raises SingularNormalMatrix when an entry is not finite or a pivot is
+    not positive.
+    """
+    n11, n12, n13, n22, n23, n33 = normal
+    if not math.isfinite(n11 + n12 + n13 + n22 + n23 + n33):
+        raise SingularNormalMatrix("normal matrix is not finite")
+    if not n11 > 0:
+        raise SingularNormalMatrix("normal matrix is not positive definite")
+    l11 = math.sqrt(n11)
+    l21, l31 = n12 / l11, n13 / l11
+    d22 = n22 - l21 * l21
+    if not d22 > 0:
+        raise SingularNormalMatrix("normal matrix is not positive definite")
+    l22 = math.sqrt(d22)
+    l32 = (n23 - l21 * l31) / l22
+    d33 = n33 - l31 * l31 - l32 * l32
+    if not d33 > 0:
+        raise SingularNormalMatrix("normal matrix is not positive definite")
+    l33 = math.sqrt(d33)
+    m11, m22, m33 = 1.0 / l11, 1.0 / l22, 1.0 / l33
+    m21 = -l21 * m11 / l22
+    m32 = -l32 * m22 / l33
+    m31 = -(l31 * m11 + l32 * m21) / l33
+    return (
+        m11 * m11 + m21 * m21 + m31 * m31,
+        m21 * m22 + m31 * m32,
+        m31 * m33,
+        m22 * m22 + m32 * m32,
+        m32 * m33,
+        m33 * m33,
     )
 
-    rot = opt_model.rotation
-    c = opt_model.focal
-    # d(c*qi/q3)/dp = c*(R[:,i]*q3 - qi*R[:,2]) / q3^2
-    drow = c * (rot[:, 1] * q[2] - q[1] * rot[:, 2]) / q[2] ** 2
-    dcol = c * (rot[:, 0] * q[2] - q[0] * rot[:, 2]) / q[2] ** 2
 
-    jac = np.empty((4, 3))
-    jac[0] = d / (r_pred * weights.sigma_r)
-    jac[1] = v / (vnorm**2 * weights.sigma_t)
-    jac[2] = drow / weights.sigma_px
-    jac[3] = dcol / weights.sigma_px
-    return res, jac
+def _largest_eigenvalue(a11, a12, a13, a22, a23, a33) -> float:
+    """Largest eigenvalue of a symmetric 3x3 matrix, in closed form.
+
+    With q = tr/3, p^2 = |A - qI|_F^2 / 6 and r = det(A - qI) / (2p^3), the
+    eigenvalues are q + 2p cos(acos(r)/3 + 2k pi/3) (Smith, CACM 1961).
+    The k = 0 root keeps about 1e-8 relative accuracy for any multiplicity:
+    near r = 1 (repeated smaller eigenvalues) the cosine is flat, and near
+    r = -1 (repeated largest) acos loses at most half the digits of r.
+    """
+    q = (a11 + a22 + a33) / 3.0
+    b11, b22, b33 = a11 - q, a22 - q, a33 - q
+    p2 = (b11 * b11 + b22 * b22 + b33 * b33
+          + 2.0 * (a12 * a12 + a13 * a13 + a23 * a23)) / 6.0
+    p3 = p2 * math.sqrt(p2)
+    if p3 == 0.0:  # a multiple of the identity
+        return q
+    half_det = 0.5 * (b11 * (b22 * b33 - a23 * a23)
+                      - a12 * (a12 * b33 - a23 * a13)
+                      + a13 * (a12 * a23 - b22 * a13))
+    r = min(max(half_det / p3, -1.0), 1.0)
+    return q + 2.0 * math.sqrt(p2) * math.cos(math.acos(r) / 3.0)
+
+
+def _conditioned_inverse(normal: tuple) -> tuple:
+    """N^-1 (six entries) of a normal matrix whose condition number
+    lambda_max(N) * lambda_max(N^-1) is at most 1e12.
+
+    Raises SingularNormalMatrix otherwise, or when N is not finite and
+    positive definite.
+    """
+    inverse = _spd_inverse(normal)
+    if not _largest_eigenvalue(*normal) * _largest_eigenvalue(*inverse) <= _COND_LIMIT:
+        raise SingularNormalMatrix(f"condition number exceeds {_COND_LIMIT:g}")
+    return inverse
+
+
+def _sum_sq(res: tuple) -> float:
+    r0, r1, r2, r3 = res
+    return r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
+
+
+def _symmetric(entries: tuple) -> np.ndarray:
+    """The 3x3 matrix of six unique entries (n11 n12 n13 n22 n23 n33)."""
+    n11, n12, n13, n22, n23, n33 = entries
+    return np.array([[n11, n12, n13], [n12, n22, n23], [n13, n23, n33]])
 
 
 def residuals(
@@ -134,7 +276,8 @@ def residuals(
     weights: ObservationWeights,
 ) -> np.ndarray:
     """Weighted 4-vector [range (m), Doppler (m), row (px), col (px)] / sigma."""
-    return _linearize(sar_model, opt_model, sar_obs, opt_obs, p.as_array(), weights)[0]
+    return np.array(_TiePoint(sar_model, opt_model, sar_obs, opt_obs, weights)
+                    .linearize((p.x, p.y, p.h))[0])
 
 
 def jacobian(
@@ -146,7 +289,8 @@ def jacobian(
     weights: ObservationWeights,
 ) -> np.ndarray:
     """Analytic 4x3 Jacobian of the weighted residuals w.r.t. (x, y, h)."""
-    return _linearize(sar_model, opt_model, sar_obs, opt_obs, p.as_array(), weights)[1]
+    return np.array(_TiePoint(sar_model, opt_model, sar_obs, opt_obs, weights)
+                    .linearize((p.x, p.y, p.h))[1])
 
 
 def intersect(
@@ -166,46 +310,62 @@ def intersect(
     rise), and the solver converges once the accepted update is below tol
     (meters).  If no halving is accepted, it converges where it stands only
     when the undamped step is below tol, and raises NoConvergence otherwise.
-    The covariance is the inverse of the normal matrix J'J built from the
-    weighted residual Jacobian.
+
+    The normal equations are solved in closed form, with no LAPACK call
+    (see the module docstring).  SingularNormalMatrix is raised when the
+    condition estimate of J'J exceeds 1e12, and when the residuals, the
+    Jacobian or J'J are not finite (at the SAR sensor position, say) or J'J
+    is not positive definite.  The covariance is the inverse of J'J at the
+    solution.
+
+    Raises ValueError before any linearization unless tol is finite and
+    > 0 and max_iterations is an integer >= 1.
     """
-    p = initial.as_array()
-    r, jac = _linearize(sar_model, opt_model, sar_obs, opt_obs, p, weights)
-    sse = float(np.dot(r, r))
+    if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 1):
+        raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+    tie = _TiePoint(sar_model, opt_model, sar_obs, opt_obs, weights)
+    p = (initial.x, initial.y, initial.h)
+    r, jac = tie.linearize(p)
+    sse = _sum_sq(r)
     for it in range(1, max_iterations + 1):
-        normal = jac.T @ jac
-        if np.linalg.cond(normal) > _COND_LIMIT:
-            raise SingularNormalMatrix(
-                f"condition number exceeds {_COND_LIMIT:g}"
-            )
-        step = np.linalg.solve(normal, -jac.T @ r)
+        normal, (g1, g2, g3) = _normal_equations(r, jac)
+        if not math.isfinite(g1 + g2 + g3):
+            raise SingularNormalMatrix("normal equations are not finite")
+        c11, c12, c13, c22, c23, c33 = _conditioned_inverse(normal)
+        step = (
+            -(c11 * g1 + c12 * g2 + c13 * g3),
+            -(c12 * g1 + c22 * g2 + c23 * g3),
+            -(c13 * g1 + c23 * g2 + c33 * g3),
+        )
+        step_norm = math.sqrt(step[0] * step[0] + step[1] * step[1] + step[2] * step[2])
 
         alpha = 1.0
         for _ in range(8):
-            trial = p + alpha * step
+            trial = (p[0] + alpha * step[0], p[1] + alpha * step[1], p[2] + alpha * step[2])
             try:
-                trial_r, trial_jac = _linearize(
-                    sar_model, opt_model, sar_obs, opt_obs, trial, weights
-                )
+                trial_r, trial_jac = tie.linearize(trial)
             except BehindCamera:
-                trial_sse = np.inf
+                trial_sse = math.inf
             else:
-                trial_sse = float(np.dot(trial_r, trial_r))
+                trial_sse = _sum_sq(trial_r)
             if trial_sse <= sse:
                 p, r, jac, sse = trial, trial_r, trial_jac, trial_sse
                 break
             alpha *= 0.5
         else:
-            if np.linalg.norm(step) >= tol:
+            if step_norm >= tol:
                 raise NoConvergence(
                     f"no step halving lowered the SSE at iteration {it}"
                 )
             alpha = 0.0  # converged where it stands
-        if np.linalg.norm(alpha * step) < tol:
+        if alpha * step_norm < tol:
             return IntersectionResult(
-                point=GroundPoint.from_array(p),
-                covariance=np.linalg.inv(jac.T @ jac),
+                point=GroundPoint(*p),
+                covariance=_symmetric(_spd_inverse(_normal_equations(r, jac)[0])),
                 iterations=it,
-                rms_residual=float(np.sqrt(sse / len(r))),
+                rms_residual=math.sqrt(sse / len(r)),
             )
     raise NoConvergence(f"no convergence after {max_iterations} iterations")

@@ -1,13 +1,23 @@
 """Tests for the stereo intersection solver."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from sarstereo.geometry import (
+    BehindCamera,
     GroundPoint,
     ImagePoint,
     OpticalSensorModel,
+    SarObservation,
     SarSensorModel,
+    camera_frame,
+    collinearity,
+    in_front,
     opt_forward,
     sar_forward,
 )
@@ -16,6 +26,7 @@ from sarstereo.intersection import (
     NoConvergence,
     ObservationWeights,
     SingularNormalMatrix,
+    _conditioned_inverse,
     intersect,
     jacobian,
     residuals,
@@ -57,6 +68,86 @@ def stereo_setup(mode="same", theta_deg=21.0, alpha_deg=8.0, hs=515e3,
 
 def exact_observations(sar, opt, p):
     return sar_forward(sar, p), opt_forward(opt, p)
+
+
+def _lapack_linearize(sar_model, opt_model, sar_obs, opt_obs, pa, weights):
+    """Weighted residuals and Jacobian, restated per call with numpy."""
+    s = sar_model.position(sar_obs.t)
+    v = sar_model.v
+    vnorm = np.sqrt(v.dot(v))
+    d = pa - s
+    r_pred = np.sqrt(d.dot(d))
+    doppler_m = float(np.dot(v, d)) / vnorm
+
+    q = camera_frame(opt_model, pa)
+    if not in_front(q):
+        raise BehindCamera("point behind the optical camera")
+    row_pred, col_pred = collinearity(opt_model, q)
+    res = np.array(
+        [
+            (r_pred - sar_obs.r) / weights.sigma_r,
+            doppler_m / (vnorm * weights.sigma_t),
+            (row_pred - opt_obs.row) / weights.sigma_px,
+            (col_pred - opt_obs.col) / weights.sigma_px,
+        ]
+    )
+    rot = opt_model.rotation
+    c = opt_model.focal
+    drow = c * (rot[:, 1] * q[2] - q[1] * rot[:, 2]) / q[2] ** 2
+    dcol = c * (rot[:, 0] * q[2] - q[0] * rot[:, 2]) / q[2] ** 2
+    jac = np.empty((4, 3))
+    jac[0] = d / (r_pred * weights.sigma_r)
+    jac[1] = v / (vnorm**2 * weights.sigma_t)
+    jac[2] = drow / weights.sigma_px
+    jac[3] = dcol / weights.sigma_px
+    return res, jac
+
+
+def lapack_intersect(sar_model, opt_model, sar_obs, opt_obs, initial, weights,
+                     max_iterations=50, tol=1e-4):
+    """Oracle: the same Gauss-Newton rule with np.linalg cond, solve and inv."""
+    p = initial.as_array()
+    r, jac = _lapack_linearize(sar_model, opt_model, sar_obs, opt_obs, p, weights)
+    sse = float(np.dot(r, r))
+    for it in range(1, max_iterations + 1):
+        normal = jac.T @ jac
+        if np.linalg.cond(normal) > 1e12:
+            raise SingularNormalMatrix("condition number exceeds 1e12")
+        step = np.linalg.solve(normal, -jac.T @ r)
+        alpha = 1.0
+        for _ in range(8):
+            trial = p + alpha * step
+            try:
+                trial_r, trial_jac = _lapack_linearize(
+                    sar_model, opt_model, sar_obs, opt_obs, trial, weights
+                )
+            except BehindCamera:
+                trial_sse = np.inf
+            else:
+                trial_sse = float(np.dot(trial_r, trial_r))
+            if trial_sse <= sse:
+                p, r, jac, sse = trial, trial_r, trial_jac, trial_sse
+                break
+            alpha *= 0.5
+        else:
+            if np.linalg.norm(step) >= tol:
+                raise NoConvergence(f"no step halving lowered the SSE at iteration {it}")
+            alpha = 0.0
+        if np.linalg.norm(alpha * step) < tol:
+            return IntersectionResult(
+                point=GroundPoint.from_array(p),
+                covariance=np.linalg.inv(jac.T @ jac),
+                iterations=it,
+                rms_residual=float(np.sqrt(sse / len(r))),
+            )
+    raise NoConvergence(f"no convergence after {max_iterations} iterations")
+
+
+def _outcome(solver, *args, **kwargs):
+    try:
+        return solver(*args, **kwargs)
+    except (SingularNormalMatrix, NoConvergence, BehindCamera) as e:
+        return type(e)
 
 
 class TestResiduals:
@@ -256,6 +347,146 @@ class TestIntersect:
             intersect(sar, opt, sar_obs, opt_obs, GroundPoint(0, 0, 1), w)
 
 
+def _exhausted_halving_setup():
+    """The low-camera case of test_exhausted_step_halving_is_not_convergence."""
+    sar = SarSensorModel(
+        s0=(3434.4, 0, 3000), v=(0, 200, 0), look_side="left",
+        az_time_per_row=1e-3, r_near=4060, range_per_col=0.5,
+    )
+    opt = OpticalSensorModel(pc=(21.03, 0, 171.53), phi=0.122, focal=1000)
+    sar_obs, opt_obs = exact_observations(sar, opt, GroundPoint(0.78, 0.16, 0.76))
+    w = ObservationWeights(sigma_t=1e-3, sigma_r=0.5, sigma_px=0.5)
+    return sar, opt, sar_obs, opt_obs, GroundPoint(272.6, -44.7, 138.1), w
+
+
+class TestAgainstLapackOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mode=st.sampled_from(["same", "opposite"]),
+        theta=st.floats(15.0, 55.0),
+        alpha=st.floats(3.0, 30.0),
+        target=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+                         st.floats(0.0, 40.0)),
+        offset=st.tuples(*[st.floats(-8.0, 8.0)] * 3),
+        noise=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+        max_iterations=st.integers(1, 50),
+    )
+    def test_same_point_iterations_and_failures(
+        self, mode, theta, alpha, target, offset, noise, max_iterations
+    ):
+        sar, opt, w = stereo_setup(mode, theta, alpha)
+        sar_obs, opt_obs = exact_observations(sar, opt, GroundPoint(*target))
+        sar_obs = SarObservation(t=sar_obs.t + noise[0] * w.sigma_t,
+                                 r=sar_obs.r + noise[1] * w.sigma_r)
+        opt_obs = ImagePoint(row=opt_obs.row + noise[2] * w.sigma_px,
+                             col=opt_obs.col + noise[3] * w.sigma_px)
+        start = GroundPoint(*(np.add(target, offset)))
+        args = (sar, opt, sar_obs, opt_obs, start, w)
+        want = _outcome(lapack_intersect, *args, max_iterations=max_iterations)
+        got = _outcome(intersect, *args, max_iterations=max_iterations)
+        if isinstance(want, type):
+            assert got is want
+            return
+        assert isinstance(got, IntersectionResult)
+        assert got.iterations == want.iterations
+        assert np.abs(got.point.as_array() - want.point.as_array()).max() < 1e-9
+        # an inverse holds to about eps * cond; cond(J'J) < 1e4 here
+        cov_err = np.abs(got.covariance - want.covariance).max()
+        assert cov_err <= 1e-11 * np.abs(want.covariance).max()
+        # weighted residuals move by |J| * 1e-9, a few 1e-9, between the two points
+        assert got.rms_residual == pytest.approx(want.rms_residual, rel=1e-6, abs=1e-8)
+
+    @pytest.mark.parametrize("case", ["glancing", "exhausted_halving", "start_behind_camera"])
+    def test_failures_match(self, case):
+        if case == "exhausted_halving":
+            args = _exhausted_halving_setup()
+        else:
+            theta, alpha = (54.0, 36.0 - 1e-7) if case == "glancing" else (40.0, 12.0)
+            sar, opt, w = stereo_setup("opposite", theta, alpha)
+            sar_obs, opt_obs = exact_observations(sar, opt, GroundPoint(0.0, 0.0, 0.0))
+            if case == "glancing":
+                start = GroundPoint(0, 0, 1)
+            else:  # 1 km behind the projection centre, on the camera axis
+                start = GroundPoint.from_array(opt.pc + 1e3 * opt.rotation[:, 2])
+            args = (sar, opt, sar_obs, opt_obs, start, w)
+        want = _outcome(lapack_intersect, *args)
+        assert isinstance(want, type)
+        assert _outcome(intersect, *args) is want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+        log_cond=st.floats(0.0, 16.0),
+        middle=st.floats(0.0, 1.0),
+        repeated_top=st.booleans(),
+        log_scale=st.floats(-6.0, 6.0),
+    )
+    def test_closed_form_condition_test(self, angles, log_cond, middle, repeated_top,
+                                        log_scale):
+        rot = Rotation.from_euler("zyx", angles).as_matrix()
+        lam_mid = 1.0 if repeated_top else 10.0 ** (-middle * log_cond)
+        lam = np.array([1.0, lam_mid, 10.0 ** -log_cond]) * 10.0 ** log_scale
+        n = (rot * lam) @ rot.T
+        n = (n + n.T) / 2
+        cond = np.linalg.cond(n)
+        assume(not 1e11 <= cond <= 1e13)
+        six = tuple(n[np.triu_indices(3)])
+        if cond > 1e12:
+            with pytest.raises(SingularNormalMatrix):
+                _conditioned_inverse(six)
+            return
+        inverse = np.linalg.inv(n)
+        got = _conditioned_inverse(six)
+        err = np.abs(np.array(got) - inverse[np.triu_indices(3)]).max()
+        assert err <= 100 * np.finfo(float).eps * cond * np.abs(inverse).max()
+
+    def test_no_linear_algebra_library_call(self, monkeypatch):
+        sar, opt, w = stereo_setup("opposite", 40, 12)
+        sar_obs, opt_obs = exact_observations(sar, opt, GroundPoint(2.0, 4.0, 7.0))
+        start = GroundPoint(30.0, -20.0, 30.0)
+        want = lapack_intersect(sar, opt, sar_obs, opt_obs, start, w)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called")
+
+        for name in ("cond", "solve", "inv", "svd", "eigvalsh", "eigh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        got = intersect(sar, opt, sar_obs, opt_obs, start, w)
+        assert got.iterations == want.iterations > 1
+        assert np.abs(got.point.as_array() - want.point.as_array()).max() < 1e-9
+
+
+class TestSolverInputs:
+    @pytest.mark.parametrize("kwargs", [
+        dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")), dict(tol=float("inf")),
+        dict(max_iterations=0), dict(max_iterations=-3), dict(max_iterations=1.5),
+    ])
+    def test_bad_parameters_raise_before_linearizing(self, kwargs, monkeypatch):
+        from sarstereo import intersection
+
+        sar, opt, w = stereo_setup()
+        sar_obs, opt_obs = exact_observations(sar, opt, GroundPoint(5.0, -3.0, 12.0))
+        projected = []
+
+        def counting(model, p):
+            projected.append(p)
+            return camera_frame(model, p)
+
+        monkeypatch.setattr(intersection, "camera_frame", counting)
+        with pytest.raises(ValueError):
+            intersect(sar, opt, sar_obs, opt_obs, GroundPoint(0, 0, 0), w, **kwargs)
+        assert projected == []
+
+    def test_start_at_sar_sensor_is_singular(self):
+        sar, opt, w = stereo_setup()
+        sar_obs, opt_obs = exact_observations(sar, opt, GroundPoint(5.0, -3.0, 12.0))
+        start = GroundPoint.from_array(sar.position(sar_obs.t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularNormalMatrix):
+                intersect(sar, opt, sar_obs, opt_obs, start, w)
+
+
 class TestWeights:
     def test_half_pixel_defaults(self):
         sar = SarSensorModel(
@@ -270,3 +501,9 @@ class TestWeights:
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             ObservationWeights(sigma_t=0.0, sigma_r=1.0, sigma_px=0.5)
+        # an infinite sigma would silently drop its equation
+        for bad in (np.inf, np.nan):
+            for kwargs in (dict(sigma_t=bad, sigma_r=1.0), dict(sigma_t=1e-4, sigma_r=bad),
+                           dict(sigma_t=1e-4, sigma_r=1.0, sigma_px=bad)):
+                with pytest.raises(ValueError):
+                    ObservationWeights(**kwargs)
