@@ -20,6 +20,10 @@ estimated as lambda_max(N) * lambda_max(N^-1), both largest eigenvalues in
 closed form (Smith, "Eigenvalues of a symmetric 3x3 matrix", CACM 1961):
 the closed-form largest root stays accurate when eigenvalues repeat, where
 the smallest root of a nearly rank-one N would not.
+
+intersect raises ValueError before its first linearization unless tol is
+finite and > 0 and max_iterations is an integer >= 1; ObservationWeights
+requires every sigma to be finite and > 0.
 """
 
 from __future__ import annotations
