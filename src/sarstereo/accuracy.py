@@ -22,7 +22,8 @@ normalized height accuracy is then
     sigma_h / sigma_0 = sqrt( (dh/dR)^2 + (dh/dalpha * f)^2 )
 
 for range noise sigma_R = sigma_0 and angular noise sigma_alpha = f * sigma_0
-(f defaults to 1e-6 rad per meter).  The ratio is independent of sigma_0.
+(f is sigma_alpha_factor, 1e-6 rad per meter by default).  The ratio is
+independent of sigma_0, which is therefore no input.
 
 Configurations where the ray grazes the circle (opposite-side
 theta + alpha = 90 deg) have no usable intersection and raise GlancingOrMiss.
@@ -62,7 +63,6 @@ class StereoConfig:
     hs: float
     ho: float
     h: float = 0.0
-    sigma0: float = 1.0
     sigma_alpha_factor: float = 1e-6
 
     def __post_init__(self):
@@ -78,8 +78,6 @@ class StereoConfig:
             raise ValueError("alpha is signed only in same_side mode")
         if not (self.hs > self.h and self.ho > self.h):
             raise ValueError("platform heights must exceed the target height")
-        if not self.sigma0 > 0:
-            raise ValueError("sigma0 must be > 0")
 
     def scene(self) -> tuple[float, float, float, float, float, float]:
         """(Xs, Zs, Xo, Zo, k, R) of the in-plane construction."""
@@ -215,7 +213,6 @@ def accuracy_grid(
     hs: float,
     ho: float,
     h: float = 0.0,
-    sigma0: float = 1.0,
     sigma_alpha_factor: float = 1e-6,
 ) -> AccuracyGrid:
     """Evaluate the accuracy model over a (theta, alpha) grid in degrees.
@@ -231,7 +228,7 @@ def accuracy_grid(
     # a configuration with a valid alpha checks every other input, so the
     # cells below need only their alpha tested for a viewing side
     StereoConfig(mode, np.deg2rad(theta_range_deg[0]), np.deg2rad(45.0), hs, ho,
-                 h, sigma0, sigma_alpha_factor)
+                 h, sigma_alpha_factor)
     thetas = np.linspace(*theta_range_deg, steps[0])
     alphas = np.linspace(*alpha_range_deg, steps[1])
     theta, alpha = np.meshgrid(np.deg2rad(thetas), np.deg2rad(alphas), indexing="ij")

@@ -193,10 +193,21 @@ def model_to_sidecar(model) -> dict:
 
 
 def model_from_sidecar(sidecar: dict):
-    """The sensor model of a raster sidecar written with model_to_sidecar."""
+    """The sensor model of a raster sidecar written with model_to_sidecar.
+
+    ValueError when the sidecar holds no model entry, when the entry is not
+    a JSON object, or when it lacks a field; the message names the fields.
+    """
     for key, cls in _SIDECAR_KEYS.items():
         if key in sidecar:
-            return cls(**{f.name: sidecar[key][f.name] for f in fields(cls) if f.init})
+            entry = sidecar[key]
+            if not isinstance(entry, dict):
+                raise ValueError(f"sidecar {key!r} is not an object: {entry!r}")
+            names = [f.name for f in fields(cls) if f.init]
+            missing = [n for n in names if n not in entry]
+            if missing:
+                raise ValueError(f"sidecar {key!r} lacks field(s) {', '.join(missing)}")
+            return cls(**{n: entry[n] for n in names})
     raise ValueError("sidecar holds no sensor model")
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 MAX_SAMPLES = 2**31
+DB_FLOOR = 1e-6  # to_db clamps samples to this before the logarithm
 
 
 class RasterError(Exception):
@@ -87,13 +88,21 @@ def _atomic_write(path: Path, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _check_dimensions(rows: int, cols: int, path: Path) -> None:
+    if rows <= 0 or cols <= 0 or rows * cols > MAX_SAMPLES:
+        raise DimensionOverflow(f"{path}: implausible dimensions {rows}x{cols}")
+
+
 def save_raster(raster: Raster, path) -> None:
     """Write RFLT plus an optional .json sidecar, atomically.
 
     A raster without a sidecar removes the one an earlier save left at
-    <path>.json, so load_raster does not return stale metadata.
+    <path>.json, so load_raster does not return stale metadata.  Dimensions
+    load_raster would reject raise DimensionOverflow before anything is
+    written.
     """
     path = Path(path)
+    _check_dimensions(raster.rows, raster.cols, path)
     nodata = "none" if raster.nodata is None else repr(float(raster.nodata))
     header = f"RFLT {raster.rows} {raster.cols} {nodata}\n".encode("ascii")
     body = raster.samples.astype("<f4", copy=False).tobytes(order="C")
@@ -119,8 +128,7 @@ def _load_rflt(blob: bytes, path: Path) -> Raster:
         rows, cols = int(parts[1]), int(parts[2])
     except ValueError as exc:
         raise BadMagic(f"{path}: non-integer dimensions") from exc
-    if rows <= 0 or cols <= 0 or rows * cols > MAX_SAMPLES:
-        raise DimensionOverflow(f"{path}: implausible dimensions {rows}x{cols}")
+    _check_dimensions(rows, cols, path)
     try:
         nodata = None if parts[3] == "none" else float(parts[3])
     except ValueError as exc:
@@ -157,8 +165,9 @@ def _load_pgm(blob: bytes, path: Path) -> Raster:
         cols, rows, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise BadMagic(f"{path}: non-integer PGM header") from exc
-    if rows <= 0 or cols <= 0 or rows * cols > MAX_SAMPLES:
-        raise DimensionOverflow(f"{path}: implausible dimensions {rows}x{cols}")
+    if not 1 <= maxval <= 65535:
+        raise BadMagic(f"{path}: PGM maxval {maxval} outside 1..65535")
+    _check_dimensions(rows, cols, path)
     dtype = ">u2" if maxval > 255 else "u1"
     expected = rows * cols * (2 if maxval > 255 else 1)
     payload = blob[pos : pos + expected]
@@ -284,13 +293,18 @@ class GroundGrid:
 
     @staticmethod
     def from_raster(raster: Raster) -> "GroundGrid":
+        """The grid of the sidecar's geotransform {"x0", "y0", "step"}.
+
+        ValueError unless x0 and y0 are finite and step is finite and > 0.
+        """
         gt = raster.sidecar.get("geotransform")
         if gt is None:
             raise ValueError("raster sidecar carries no geotransform")
-        return GroundGrid(
-            raster=raster, x0=float(gt["x0"]), y0=float(gt["y0"]),
-            step=float(gt["step"]),
-        )
+        x0, y0, step = float(gt["x0"]), float(gt["y0"]), float(gt["step"])
+        if not (all(map(math.isfinite, (x0, y0, step))) and step > 0):
+            raise ValueError(f"invalid geotransform {gt!r}: need finite x0, y0 "
+                             "and a finite step > 0")
+        return GroundGrid(raster=raster, x0=x0, y0=y0, step=step)
 
     def cell_of(self, x: float, y: float) -> tuple[float, float]:
         return (y - self.y0) / self.step, (x - self.x0) / self.step
@@ -304,8 +318,8 @@ class GroundGrid:
         return float(bilinear(self.raster.samples, r, c, np.nan))
 
 
-def to_db(raster: Raster, floor: float = 1e-6) -> Raster:
-    """Convert amplitude/power samples to decibels."""
-    db = 10.0 * np.log10(np.maximum(raster.samples, floor))
+def to_db(raster: Raster) -> Raster:
+    """Convert amplitude/power samples to decibels, clamped below at DB_FLOOR."""
+    db = 10.0 * np.log10(np.maximum(raster.samples, DB_FLOOR))
     return Raster(samples=db.astype(np.float32), nodata=raster.nodata,
                   sidecar=dict(raster.sidecar))

@@ -33,6 +33,12 @@ from sarstereo.geometry import (
 from sarstereo.raster import GroundGrid, Raster, bilinear, linear_bins, soft_histogram
 
 
+TEXTURE_SMOOTHNESS = 2.0  # gaussian sigma of the reflectance texture, in cells
+SAR_HEIGHT = 500e3  # canonical SAR track height (m)
+OPT_HEIGHT = 700e3  # canonical optical camera height (m)
+MARGIN_PX = 8  # canonical SAR range columns kept beyond the scene's extremes
+
+
 class SceneNotVisible(Exception):
     """No ray of the requested optical frame hits the scene."""
 
@@ -61,7 +67,6 @@ class SceneSpec:
     ground_height: float = 0.0
     buildings: tuple[Building, ...] = ()
     texture_seed: int = 0
-    texture_smoothness: float = 2.0  # gaussian sigma, in cells
     texture_contrast: float = 0.6  # peak-to-peak relative amplitude
 
     def __post_init__(self):
@@ -103,8 +108,7 @@ def make_scene(spec: SceneSpec) -> tuple[Raster, Raster]:
     y = (np.arange(rows) + 0.5) * g
     xg, yg = np.meshgrid(x, y)
     rng = np.random.default_rng(spec.texture_seed)
-    base = gaussian_filter(rng.standard_normal((rows, cols)),
-                           spec.texture_smoothness)
+    base = gaussian_filter(rng.standard_normal((rows, cols)), TEXTURE_SMOOTHNESS)
     base = (base - base.min()) / (base.max() - base.min() + 1e-30)
     refl = 1.0 + spec.texture_contrast * (base - 0.5)
     for b in spec.buildings:
@@ -281,12 +285,15 @@ def render_sar(
     bilinearly into its (azimuth row, range col) bin; multiple surfaces
     binned together accumulate (layover), shadowed cells are darkened, and
     gamma-distributed speckle with the configured number of looks multiplies
-    the result.  SceneOutsideSwath is raised when the cells that carry
-    energy all project outside the grid.
+    the result.  supersample, an integer >= 1, sets the ground samples per
+    DEM cell along each axis.  SceneOutsideSwath is raised when the cells
+    that carry energy all project outside the grid.
     """
+    if not (isinstance(supersample, (int, np.integer)) and supersample >= 1):
+        raise ValueError(f"supersample must be an integer >= 1, got {supersample!r}")
     grid = GroundGrid.from_raster(dem)
     rows_out, cols_out = shape
-    sub = grid.step / max(1, int(supersample))
+    sub = grid.step / supersample
     du, dw, xg, yg = _track_samples(grid, model, sub)
     r_idx, c_idx = grid.cell_of(xg, yg)
     ground = float(dem.samples.min())
@@ -342,26 +349,22 @@ def render_sar(
 
 
 def canonical_scene_models(
-    spec: SceneSpec,
-    sar_theta_deg: float = 35.0,
-    sar_height: float = 500e3,
-    opt_height: float = 700e3,
-    margin_px: int = 8,
+    spec: SceneSpec, sar_theta_deg: float = 35.0
 ) -> tuple[SarSensorModel, OpticalSensorModel, tuple[int, int], tuple[int, int]]:
     """North-aligned spaceborne-like sensor pair covering the scene.
 
-    The SAR track runs along +y west of the scene looking right (east) at
-    the requested incidence angle; azimuth and ground-range pixel spacings
-    both equal the scene GSD.  The track starts at y = gsd / 2, so SAR row r
-    images the azimuth line y = (r + 1/2) gsd, the centre row of DEM and
-    optical row r.  The SAR range window is sized from the
-    scene: near range is the slant range of the tallest building's roof
-    height at the scene's near (west) edge, less ``margin_px`` columns, so
+    The SAR track runs along +y at height SAR_HEIGHT west of the scene,
+    looking right (east) at the requested incidence angle; azimuth and
+    ground-range pixel spacings both equal the scene GSD.  The track starts
+    at y = gsd / 2, so SAR row r images the azimuth line y = (r + 1/2) gsd,
+    the centre row of DEM and optical row r.  The SAR range window is sized
+    from the scene: near range is the slant range of the tallest building's
+    roof height at the scene's near (west) edge, less MARGIN_PX columns, so
     no layover is clipped; far range is that of the ground at the far
-    (east) edge, plus ``margin_px`` columns.  The optical camera is nadir
-    above the scene center with kappa = pi, which makes image rows/cols
-    increase with ground y/x at 1 pixel per GSD.  Returned shapes are
-    (rows, cols) for the SAR and optical rasters.
+    (east) edge, plus MARGIN_PX columns.  The optical camera is nadir at
+    height OPT_HEIGHT above the scene center with kappa = pi, which makes
+    image rows/cols increase with ground y/x at 1 pixel per GSD.  Returned
+    shapes are (rows, cols) for the SAR and optical rasters.
     """
     ex, ey = spec.extent
     g = spec.gsd
@@ -369,16 +372,16 @@ def canonical_scene_models(
     theta = np.deg2rad(sar_theta_deg)
     cx, cy = ex / 2, ey / 2
 
-    track_x = cx - (sar_height - h0) * np.tan(theta)
+    track_x = cx - (SAR_HEIGHT - h0) * np.tan(theta)
     vs = 7500.0
-    r_at = lambda xx, hh: float(np.hypot(xx - track_x, sar_height - hh))
+    r_at = lambda xx, hh: float(np.hypot(xx - track_x, SAR_HEIGHT - hh))
     # slant range is smallest at the highest point nearest the track
     h_max = h0 + max((b.height for b in spec.buildings), default=0.0)
-    r_near = float(r_at(0.0, h_max) - margin_px * g * np.sin(theta))
+    r_near = float(r_at(0.0, h_max) - MARGIN_PX * g * np.sin(theta))
     sar_rows = int(round(ey / g))
-    sar_cols = int(np.ceil((r_at(ex, h0) - r_near) / (g * np.sin(theta)))) + margin_px
+    sar_cols = int(np.ceil((r_at(ex, h0) - r_near) / (g * np.sin(theta)))) + MARGIN_PX
     sar = SarSensorModel(
-        s0=(track_x, 0.5 * g, sar_height),
+        s0=(track_x, 0.5 * g, SAR_HEIGHT),
         v=(0.0, vs, 0.0),
         t0=0.0,
         az_time_per_row=g / vs,
@@ -390,11 +393,11 @@ def canonical_scene_models(
     opt_rows = int(round(ey / g))
     opt_cols = int(round(ex / g))
     opt = OpticalSensorModel(
-        pc=(cx, cy, opt_height),
+        pc=(cx, cy, OPT_HEIGHT),
         phi=0.0,
         omega=0.0,
         kappa=np.pi,
-        focal=(opt_height - h0) / g,
+        focal=(OPT_HEIGHT - h0) / g,
         principal_row=(opt_rows - 1) / 2.0,
         principal_col=(opt_cols - 1) / 2.0,
     )

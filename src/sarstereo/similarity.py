@@ -52,6 +52,18 @@ HOPC = "HOPC"
 
 HOG_EPS = 1e-5
 SIFT_CLIP = 0.2
+NMI_BINS = 64  # intensity bins of each patch in nmi
+
+# Kovesi's published phase congruency defaults (see phase_congruency_maps)
+PC_SCALES = 4
+PC_ORIENTATIONS = 6
+PC_MIN_WAVELENGTH = 3.0
+PC_MULT = 2.1
+PC_SIGMA_ONF = 0.55
+PC_NOISE_K = 2.0
+PC_CUT_OFF = 0.5
+PC_GAIN = 10.0
+PC_EPSILON = 1e-4
 
 
 class SimilarityError(Exception):
@@ -147,17 +159,17 @@ def _entropy(p: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def nmi(i: Patch, j: Patch, bins: int = 64) -> SimilarityScore:
+def nmi(i: Patch, j: Patch) -> SimilarityScore:
     """Normalized mutual information (H(I) + H(J)) / H(I, J) in [1, 2]."""
     a, b = i.samples, j.samples
     if a.shape != b.shape:
         raise ValueError("patches must have equal sizes")
-    ia = _quantize(a, bins)
-    ib = _quantize(b, bins)
-    joint = np.bincount(ia.ravel() * bins + ib.ravel(), minlength=bins * bins)
+    ia = _quantize(a, NMI_BINS)
+    ib = _quantize(b, NMI_BINS)
+    joint = np.bincount(ia.ravel() * NMI_BINS + ib.ravel(), minlength=NMI_BINS**2)
     pj = joint / joint.sum()
-    pa = pj.reshape(bins, bins).sum(axis=1)
-    pb = pj.reshape(bins, bins).sum(axis=0)
+    pa = pj.reshape(NMI_BINS, NMI_BINS).sum(axis=1)
+    pb = pj.reshape(NMI_BINS, NMI_BINS).sum(axis=0)
     h_joint = _entropy(pj)
     if h_joint == 0.0:
         raise DegenerateHistogram("joint histogram is a single bin")
@@ -325,14 +337,7 @@ def sift_descriptor(p: Patch, scale: float = 10.0) -> Descriptor:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _log_gabor_bank(
-    shape: tuple[int, int],
-    scales: int,
-    orientations: int,
-    min_wavelength: float,
-    mult: float,
-    sigma_onf: float,
-):
+def _log_gabor_bank(shape: tuple[int, int]):
     """Frequency-domain log-Gabor filters: radial parts and angular spreads.
 
     The filters are cached per shape and read-only: every later call of that
@@ -355,36 +360,25 @@ def _log_gabor_bank(
     lowpass = 1.0 / (1.0 + (normradius / 0.45) ** 30)
 
     radials = []
-    for s in range(scales):
-        f0 = 1.0 / (min_wavelength * mult**s)
-        lg = np.exp(-(np.log(radius / f0) ** 2) / (2 * np.log(sigma_onf) ** 2))
+    for s in range(PC_SCALES):
+        f0 = 1.0 / (PC_MIN_WAVELENGTH * PC_MULT**s)
+        lg = np.exp(-(np.log(radius / f0) ** 2) / (2 * np.log(PC_SIGMA_ONF) ** 2))
         lg = lg * lowpass
         lg[cy, cx] = 0.0
         radials.append(np.fft.ifftshift(lg))
 
     spreads = []
-    for o in range(orientations):
-        angle = o * np.pi / orientations
+    for o in range(PC_ORIENTATIONS):
+        angle = o * np.pi / PC_ORIENTATIONS
         ds = sintheta * np.cos(angle) - costheta * np.sin(angle)
         dc = costheta * np.cos(angle) + sintheta * np.sin(angle)
-        dtheta = np.minimum(np.abs(np.arctan2(ds, dc)) * orientations / 2, np.pi)
+        dtheta = np.minimum(np.abs(np.arctan2(ds, dc)) * PC_ORIENTATIONS / 2, np.pi)
         spreads.append(np.fft.ifftshift((np.cos(dtheta) + 1) / 2))
     _read_only(*radials, *spreads)
     return tuple(radials), tuple(spreads)
 
 
-def phase_congruency_maps(
-    image: np.ndarray,
-    scales: int = 4,
-    orientations: int = 6,
-    min_wavelength: float = 3.0,
-    mult: float = 2.1,
-    sigma_onf: float = 0.55,
-    noise_k: float = 2.0,
-    cut_off: float = 0.5,
-    gain: float = 10.0,
-    epsilon: float = 1e-4,
-) -> tuple[np.ndarray, np.ndarray]:
+def phase_congruency_maps(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phase congruency magnitude and dominant congruency orientation.
 
     Returns (pc, ori): pc in [0, 1] is the noise-thresholded, weighted phase
@@ -395,28 +389,32 @@ def phase_congruency_maps(
     directions keeps the orientation stable when structure falls between
     filters, which monotone radiometric changes would otherwise flip.  The
     input is contrast-normalized so pc is invariant to positive gain.
+
+    The log-Gabor bank has PC_ORIENTATIONS orientations and PC_SCALES
+    scales, of wavelength PC_MIN_WAVELENGTH px times powers of PC_MULT and
+    bandwidth PC_SIGMA_ONF.  The noise threshold is PC_NOISE_K Rayleigh
+    sigmas, the frequency-spread weighting has cut-off PC_CUT_OFF and gain
+    PC_GAIN, and PC_EPSILON guards each division.
     """
     img = np.asarray(image, dtype=float)
     std = img.std()
     if std > 0:
         img = (img - img.mean()) / std
     fimg = np.fft.fft2(img)
-    radials, spreads = _log_gabor_bank(
-        img.shape, scales, orientations, min_wavelength, mult, sigma_onf
-    )
+    radials, spreads = _log_gabor_bank(img.shape)
     # the spectrum through each radial filter, shared by every orientation
     by_scale = [fimg * radial for radial in radials]
 
     numer_total = np.zeros(img.shape)
     sum_an_total = np.zeros(img.shape)
-    pc_by_orient = np.empty((orientations,) + img.shape)
-    for o in range(orientations):
+    pc_by_orient = np.empty((PC_ORIENTATIONS,) + img.shape)
+    for o in range(PC_ORIENTATIONS):
         sum_e = np.zeros(img.shape)
         sum_o = np.zeros(img.shape)
         sum_an = np.zeros(img.shape)
         eo = []
         tau = 0.0
-        for s in range(scales):
+        for s in range(PC_SCALES):
             resp = np.fft.ifft2(by_scale[s] * spreads[o])
             e, od = resp.real, resp.imag
             an = np.abs(resp)
@@ -430,7 +428,7 @@ def phase_congruency_maps(
             else:
                 max_an = np.maximum(max_an, an)
 
-        x_energy = np.hypot(sum_e, sum_o) + epsilon
+        x_energy = np.hypot(sum_e, sum_o) + PC_EPSILON
         mean_e = sum_e / x_energy
         mean_o = sum_o / x_energy
         energy = np.zeros(img.shape)
@@ -439,22 +437,22 @@ def phase_congruency_maps(
 
         # Rayleigh statistics of the noise response estimated at the
         # smallest scale, extrapolated across the geometric filter series
-        total_tau = tau * (1 - (1 / mult) ** scales) / (1 - 1 / mult)
+        total_tau = tau * (1 - (1 / PC_MULT) ** PC_SCALES) / (1 - 1 / PC_MULT)
         noise_mean = total_tau * np.sqrt(np.pi / 2)
         noise_sigma = total_tau * np.sqrt((4 - np.pi) / 2)
-        threshold = noise_mean + noise_k * noise_sigma
+        threshold = noise_mean + PC_NOISE_K * noise_sigma
         energy = np.maximum(energy - threshold, 0.0)
 
-        width = (sum_an / (max_an + epsilon) - 1.0) / (scales - 1)
-        weight = 1.0 / (1.0 + np.exp(gain * (cut_off - width)))
+        width = (sum_an / (max_an + PC_EPSILON) - 1.0) / (PC_SCALES - 1)
+        weight = 1.0 / (1.0 + np.exp(PC_GAIN * (PC_CUT_OFF - width)))
 
         numer = weight * energy
-        pc_by_orient[o] = numer / (sum_an + epsilon)
+        pc_by_orient[o] = numer / (sum_an + PC_EPSILON)
         numer_total += numer
         sum_an_total += sum_an
 
-    pc = np.clip(numer_total / (sum_an_total + epsilon), 0.0, 1.0)
-    angles = np.arange(orientations) * np.pi / orientations
+    pc = np.clip(numer_total / (sum_an_total + PC_EPSILON), 0.0, 1.0)
+    angles = np.arange(PC_ORIENTATIONS) * np.pi / PC_ORIENTATIONS
     cos_sum = np.tensordot(np.cos(2 * angles), pc_by_orient, axes=(0, 0))
     sin_sum = np.tensordot(np.sin(2 * angles), pc_by_orient, axes=(0, 0))
     ori = np.mod(0.5 * np.arctan2(sin_sum, cos_sum), np.pi)
@@ -478,20 +476,14 @@ def hopc_from_maps(
     return oriented_descriptor_from_maps(mag, ori, cell, bins)
 
 
-def hopc_descriptor(
-    p: Patch,
-    cell: int = 17,
-    bins: int = 8,
-    scales: int = 4,
-    orientations: int = 6,
-) -> Descriptor:
+def hopc_descriptor(p: Patch, cell: int = 17, bins: int = 8) -> Descriptor:
     """HOG-style descriptor over phase congruency instead of gradients."""
     # the filter bank needs 32 px and the descriptor 2x2 cells: check both
     # before running the filter bank
     _check_cells(cell, bins)
     if p.template_size < max(32, 2 * cell):
         raise ValueError(f"patch side must be at least 32 and span 2x2 cells of {cell} px")
-    pc, ori = phase_congruency_maps(p.samples, scales, orientations)
+    pc, ori = phase_congruency_maps(p.samples)
     return hopc_from_maps(pc, ori, cell, bins)
 
 

@@ -295,6 +295,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_sidecar({"geotransform": {"x0": 0.5, "y0": 0.5, "step": 1.0}})
 
+    def test_malformed_model_entry_rejected(self, sar_model):
+        entry = model_to_sidecar(sar_model)["sar_model"]
+        del entry["v"]
+        with pytest.raises(ValueError, match=r"lacks field.*\bv\b"):
+            model_from_sidecar({"sar_model": entry})
+        for bad in ([1, 2, 3], "sar", None):
+            with pytest.raises(ValueError, match="not an object"):
+                model_from_sidecar({"sar_model": bad})
+
     def test_invalid_models_rejected(self):
         with pytest.raises(ValueError):
             SarSensorModel(s0=(0, 0, 0), v=(0, 0, 0))

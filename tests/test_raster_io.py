@@ -73,6 +73,14 @@ class TestRflt:
         with pytest.raises(DimensionOverflow):
             load_raster(path)
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_save_rejects_empty_raster_and_writes_nothing(self, tmp_path, shape):
+        r = Raster(samples=np.zeros(shape, dtype=np.float32),
+                   sidecar={"geotransform": {"x0": 1.0, "y0": 2.0, "step": 0.5}})
+        with pytest.raises(DimensionOverflow):
+            save_raster(r, tmp_path / "empty.rflt")
+        assert list(tmp_path.iterdir()) == []
+
     def test_sidecar_round_trip(self, tmp_path):
         r = Raster(samples=np.ones((3, 3), dtype=np.float32),
                    sidecar={"geotransform": {"x0": 1.0, "y0": 2.0, "step": 0.5}})
@@ -107,6 +115,13 @@ class TestPgm:
         path.write_bytes(b"P5\n# comment\n3 2\n255\n" + samples.tobytes())
         r = load_raster(path)
         assert r.samples[1, 2] == 5.0
+
+    @pytest.mark.parametrize("maxval", [b"0", b"-5", b"70000"])
+    def test_maxval_out_of_range_is_bad_magic(self, tmp_path, maxval):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5 2 2 " + maxval + b"\n" + b"\x00" * 8)
+        with pytest.raises(BadMagic):
+            load_raster(path)
 
     def test_truncated_pgm(self, tmp_path):
         path = tmp_path / "t.pgm"
@@ -161,6 +176,19 @@ class TestGroundGrid:
         assert (g.x0, g.y0, g.step) == (5.0, 6.0, 2.0)
         with pytest.raises(ValueError):
             GroundGrid.from_raster(Raster(samples=np.zeros((2, 2), np.float32)))
+
+    @pytest.mark.parametrize("gt", [
+        {"x0": 5.0, "y0": 6.0, "step": 0.0},
+        {"x0": 5.0, "y0": 6.0, "step": -2.0},
+        {"x0": 5.0, "y0": 6.0, "step": float("nan")},
+        {"x0": 5.0, "y0": 6.0, "step": float("inf")},
+        {"x0": float("nan"), "y0": 6.0, "step": 2.0},
+        {"x0": 5.0, "y0": float("-inf"), "step": 2.0},
+    ])
+    def test_from_raster_rejects_bad_geotransform(self, gt):
+        r = Raster(samples=np.zeros((2, 2), np.float32), sidecar={"geotransform": gt})
+        with pytest.raises(ValueError):
+            GroundGrid.from_raster(r)
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),

@@ -298,6 +298,14 @@ class TestRenderSar:
         assert len(projected) == 1 and projected[0] <= 4 * dem.rows * dem.cols
         assert track != "30" or n_box > 2 * projected[0]
 
+    @pytest.mark.parametrize("supersample", [0, -3, 2.5])
+    def test_rejects_supersample_that_is_not_a_positive_integer(self, supersample):
+        spec = SceneSpec(extent=(20, 20))
+        dem, refl = make_scene(spec)
+        sar, _, sar_shape, _ = canonical_scene_models(spec)
+        with pytest.raises(ValueError, match="supersample"):
+            render_sar(dem, refl, sar, RenderNoise(), sar_shape, supersample=supersample)
+
     def test_point_targets_land_on_forward_projection(self):
         spec = SceneSpec(extent=(120, 120), texture_seed=11)
         dem, refl = make_scene(spec)

@@ -570,7 +570,7 @@ class TestLayoutCaches:
         assert (after_cells.hits - cells.hits, after_sift.hits - sift.hits) == (200, 100)
 
     def test_cached_arrays_are_read_only(self):
-        radials, spreads = similarity._log_gabor_bank((40, 44), 4, 6, 3.0, 2.1, 0.55)
+        radials, spreads = similarity._log_gabor_bank((40, 44))
         _, gauss, rows, cols = similarity._sift_layout(10.0)
         cached = [*radials, *spreads, similarity._cell_index(51, 17), gauss]
         cached += [a for corner in rows + cols for a in corner]
