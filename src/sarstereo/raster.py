@@ -23,6 +23,7 @@ import numpy as np
 
 MAX_SAMPLES = 2**31
 DB_FLOOR = 1e-6  # to_db clamps samples to this before the logarithm
+BILINEAR_BLOCK = 8192  # positions bilinear samples at a time: 64 KiB of float64
 
 
 class RasterError(Exception):
@@ -195,29 +196,50 @@ def load_raster(path) -> Raster:
 def bilinear(samples: np.ndarray, r, c, fill: float) -> np.ndarray:
     """Vectorized bilinear sampling at fractional (row, col) positions.
 
+    r and c broadcast against each other, and the result has their shape.
     Positions off the grid, NaN included, return fill.  A grid of one row or
     one column interpolates along the other axis only.
+
+    The positions are taken BILINEAR_BLOCK at a time into one preallocated
+    output.  Each block's temporaries are at most 64 KiB, small enough for
+    the allocator to reuse its own free memory instead of mapping fresh
+    pages for every full-size temporary.  Each value is the same sum of the
+    four corners, in the same order, as an unblocked evaluation.
     """
     rows, cols = samples.shape
-    r = np.asarray(r, dtype=float)
-    c = np.asarray(c, dtype=float)
-    inside = (r >= 0) & (r <= rows - 1) & (c >= 0) & (c <= cols - 1)
-    # any in-grid index will do for the positions that get fill
-    rc = np.where(inside, r, 0.0)
-    cc = np.where(inside, c, 0.0)
-    r0 = np.minimum(rc.astype(int), rows - 2) if rows > 1 else np.zeros_like(rc, int)
-    c0 = np.minimum(cc.astype(int), cols - 2) if cols > 1 else np.zeros_like(cc, int)
-    fr = rc - r0
-    fc = cc - c0
-    r1 = np.minimum(r0 + 1, rows - 1)
-    c1 = np.minimum(c0 + 1, cols - 1)
-    v = (
-        samples[r0, c0] * (1 - fr) * (1 - fc)
-        + samples[r1, c0] * fr * (1 - fc)
-        + samples[r0, c1] * (1 - fr) * fc
-        + samples[r1, c1] * fr * fc
-    )
-    return np.where(inside, v, fill)
+    r, c = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(c, dtype=float))
+    out = np.empty(r.shape, dtype=np.result_type(samples.dtype, float))
+    grid = samples.ravel()
+    # the second corner's flat offset along each axis; a grid of one row or
+    # one column has only the first
+    dr = cols if rows > 1 else 0
+    dc = 1 if cols > 1 else 0
+    r_flat, c_flat, out_flat = r.reshape(-1), c.reshape(-1), out.reshape(-1)
+    for lo in range(0, out_flat.size, BILINEAR_BLOCK):
+        rb = r_flat[lo:lo + BILINEAR_BLOCK]
+        cb = c_flat[lo:lo + BILINEAR_BLOCK]
+        inside = (rb >= 0) & (rb <= rows - 1) & (cb >= 0) & (cb <= cols - 1)
+        # any in-grid index will do for the positions that get fill
+        fr = np.where(inside, rb, 0.0)
+        fc = np.where(inside, cb, 0.0)
+        r0 = np.minimum(fr.astype(int), max(rows - 2, 0))
+        c0 = np.minimum(fc.astype(int), max(cols - 2, 0))
+        fr -= r0
+        fc -= c0
+        gr = 1 - fr
+        gc = 1 - fc
+        i00 = r0 * cols
+        i00 += c0
+        del r0, c0
+        v = out_flat[lo:lo + BILINEAR_BLOCK]
+        np.multiply(grid.take(i00), gr, out=v)
+        v *= gc
+        for offset, wr, wc in ((dr, fr, gc), (dc, gr, fc), (dr + dc, fr, fc)):
+            term = grid.take(i00 + offset) * wr
+            term *= wc
+            v += term
+        np.copyto(v, fill, where=~inside)
+    return out
 
 
 def linear_bins(pos, n: int, wrap: bool = False):

@@ -30,7 +30,14 @@ from sarstereo.geometry import (
     sar_forward,
     sar_forward_array,
 )
-from sarstereo.raster import GroundGrid, Raster, bilinear, linear_bins, soft_histogram
+from sarstereo.raster import (
+    BILINEAR_BLOCK,
+    GroundGrid,
+    Raster,
+    bilinear,
+    linear_bins,
+    soft_histogram,
+)
 
 
 TEXTURE_SMOOTHNESS = 2.0  # gaussian sigma of the reflectance texture, in cells
@@ -149,10 +156,13 @@ def render_optical(
     frame (a ray with a NaN direction gets h_top).  A bilinear sample never
     exceeds its largest corner, so at a height above its bound a ray is
     above the surface; the march and the bisection skip the sample there
-    and take the "not below" branch it would have given.  The image is the
-    one the full-frame march renders, bit for bit.  SceneNotVisible is
-    raised when the camera does not look down, or when no downward ray's
-    box overlaps the DEM.
+    and take the "not below" branch it would have given.  The rays are
+    sorted once by falling bound, so each march height reads its candidates
+    from a prefix of that order, and the bisection steps work in
+    preallocated buffers.  Neither changes a sample or the order of any
+    arithmetic: the image is the one the full-frame march renders, bit for
+    bit.  SceneNotVisible is raised when the camera does not look down, or
+    when no downward ray's box overlaps the DEM.
     """
     grid = GroundGrid.from_raster(dem)
     z = dem.samples
@@ -199,26 +209,40 @@ def render_optical(
     heights = np.linspace(h_top, ground, n_steps + 1)
     hit_hi = np.full(n_rays, ground)
     hit_lo = np.full(n_rays, ground)
-    undecided = np.ones(n_rays, dtype=bool)
+    # the rays whose bound reaches a height are a prefix of the rays by
+    # falling bound (a NaN bound, never reached, sorts last)
+    by_bound = np.argsort(-bound, kind="stable")
+    neg_bound = -bound[by_bound]
+    undecided = np.ones(n_rays, dtype=bool)  # in by_bound order
+    n_undecided = n_rays
     prev_h = heights[0]
     for h in heights:
-        if not undecided.any():
+        if not n_undecided:
             break
-        idx = np.flatnonzero(undecided & (bound >= h))
-        crossed = idx[surface_at(idx, h) >= h]
+        reach = np.searchsorted(neg_bound, -h, side="right")  # bound >= h
+        pos = np.flatnonzero(undecided[:reach])
+        idx = by_bound[pos]
+        hit = surface_at(idx, h) >= h
+        crossed = idx[hit]
         hit_hi[crossed] = prev_h
         hit_lo[crossed] = h
-        undecided[crossed] = False
+        undecided[pos[hit]] = False
+        n_undecided -= crossed.size
         prev_h = h
     # bisect the crossing height; rays that never crossed sit on the ground
-    lo, hi = hit_lo.copy(), hit_hi.copy()
+    lo, hi = hit_lo, hit_hi
+    mid = np.empty(n_rays)
+    flag = np.empty(n_rays, dtype=bool)
+    below = np.empty(n_rays, dtype=bool)
     for _ in range(22):
-        mid = 0.5 * (lo + hi)
-        idx = np.flatnonzero(bound >= mid)
-        below = np.zeros(n_rays, dtype=bool)
-        below[idx] = surface_at(idx, mid[idx]) >= mid[idx]
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        idx = np.flatnonzero(np.greater_equal(bound, mid, out=flag))
+        at = mid[idx]
+        below.fill(False)
+        below[idx] = surface_at(idx, at) >= at
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=np.logical_not(below, out=flag))
     p = ray_at_height(model.pc, w, 0.5 * (lo + hi))
     img = bilinear(reflectance.samples, *grid.cell_of(p[:, 0], p[:, 1]),
                    float(reflectance.samples.mean())).reshape(shape)
@@ -286,7 +310,9 @@ def render_sar(
     binned together accumulate (layover), shadowed cells are darkened, and
     gamma-distributed speckle with the configured number of looks multiplies
     the result.  supersample, an integer >= 1, sets the ground samples per
-    DEM cell along each axis.  SceneOutsideSwath is raised when the cells
+    DEM cell along each axis.  The per-sample weighting runs in blocks of
+    whole track-frame rows of about BILINEAR_BLOCK samples, so none of its
+    temporaries is full-frame.  SceneOutsideSwath is raised when the cells
     that carry energy all project outside the grid.
     """
     if not (isinstance(supersample, (int, np.integer)) and supersample >= 1):
@@ -295,29 +321,40 @@ def render_sar(
     rows_out, cols_out = shape
     sub = grid.step / supersample
     du, dw, xg, yg = _track_samples(grid, model, sub)
-    r_idx, c_idx = grid.cell_of(xg, yg)
     ground = float(dem.samples.min())
-    hg = bilinear(dem.samples, r_idx, c_idx, ground)
-    refl = bilinear(reflectance.samples, r_idx, c_idx, 0.0)
+    hg = bilinear(dem.samples, *grid.cell_of(xg, yg), ground)
 
     # local incidence weighting in the track frame: surface normal
     # (-gw, -gu, 1) against the direction back toward the sensor
     gu, gw = np.gradient(hg, sub)
     z_s = float(model.position(model.t0)[2])
-    look = np.stack(np.broadcast_arrays(dw, du[:, None], hg - z_s))
-    look /= np.linalg.norm(look, axis=0)
-    n_norm = np.sqrt(gw * gw + gu * gu + 1.0)
-    cos_inc = np.clip(
-        (gw * look[0] + gu * look[1] - look[2]) / n_norm, 0.0, 1.0
-    )
-    weight = refl * (0.25 + 0.75 * cos_inc)
-    weight = np.where(_shadow_mask(dw, hg, z_s), 0.03 * weight, weight)
-    # only samples that carry energy are projected: the rest, off the DEM
-    # with fill reflectance 0 among them, would add +0.0 to every bin
-    lit = weight != 0
-    xg, yg, hg, weight = xg[lit], yg[lit], hg[lit], weight[lit]
+    # weighted in blocks of whole zero-Doppler rows, since a row's shadow
+    # depends on all of it; only samples that carry energy are kept for
+    # projection: the rest, off the DEM with fill reflectance 0 among them,
+    # would add +0.0 to every bin
+    kept = np.empty((4, hg.size))  # x, y, h and weight, by row
+    n_kept = 0
+    rows_per_block = max(1, BILINEAR_BLOCK // hg.shape[1])
+    for start in range(0, hg.shape[0], rows_per_block):
+        b = slice(start, start + rows_per_block)
+        h, gu_b, gw_b = hg[b], gu[b], gw[b]
+        refl = bilinear(reflectance.samples, *grid.cell_of(xg[b], yg[b]), 0.0)
+        look = np.stack(np.broadcast_arrays(dw, du[b, None], h - z_s))
+        look /= np.linalg.norm(look, axis=0)
+        n_norm = np.sqrt(gw_b * gw_b + gu_b * gu_b + 1.0)
+        cos_inc = np.clip(
+            (gw_b * look[0] + gu_b * look[1] - look[2]) / n_norm, 0.0, 1.0
+        )
+        weight = refl * (0.25 + 0.75 * cos_inc)
+        weight = np.where(_shadow_mask(dw, h, z_s), 0.03 * weight, weight)
+        lit = weight != 0
+        end = n_kept + np.count_nonzero(lit)
+        for k, v in enumerate((xg[b], yg[b], h, weight)):
+            kept[k, n_kept:end] = v[lit]
+        n_kept = end
+    xyz, weight = kept[:3, :n_kept], kept[3, :n_kept]
 
-    t, slant = sar_forward_array(model, np.stack([xg, yg, hg], axis=-1))
+    t, slant = sar_forward_array(model, xyz.T)
     row = (t - model.t0) / model.az_time_per_row
     col = (slant - model.r_near) / model.range_per_col
     if row.size and (row.min() > rows_out - 1 or row.max() < 0
@@ -327,7 +364,7 @@ def render_sar(
     # energy conservation: a ground sub-cell of size sub x sub covers
     # sub*sin(incidence) of slant range and sub of azimuth
     sz = model.s0[2] + (t - model.t0) * model.v[2]
-    sin_inc = np.sqrt(np.clip(1.0 - ((sz - hg) / slant) ** 2, 1e-6, 1.0))
+    sin_inc = np.sqrt(np.clip(1.0 - ((sz - xyz[2]) / slant) ** 2, 1e-6, 1.0))
     vnorm = np.linalg.norm(model.v)
     density = (sub * sin_inc / model.range_per_col) * (
         sub / (vnorm * abs(model.az_time_per_row))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sarstereo.raster import (
+    BILINEAR_BLOCK,
     BadMagic,
     DimensionOverflow,
     GroundGrid,
@@ -208,7 +209,83 @@ class TestGroundGrid:
             assert g.value_at(x, y) == pytest.approx(expected[k], rel=1e-9, abs=1e-9)
 
 
+def bilinear_unblocked(samples, r, c, fill):
+    """The sampler over all positions at once, as it was before blocking."""
+    rows, cols = samples.shape
+    r = np.asarray(r, dtype=float)
+    c = np.asarray(c, dtype=float)
+    inside = (r >= 0) & (r <= rows - 1) & (c >= 0) & (c <= cols - 1)
+    rc = np.where(inside, r, 0.0)
+    cc = np.where(inside, c, 0.0)
+    r0 = np.minimum(rc.astype(int), rows - 2) if rows > 1 else np.zeros_like(rc, int)
+    c0 = np.minimum(cc.astype(int), cols - 2) if cols > 1 else np.zeros_like(cc, int)
+    fr = rc - r0
+    fc = cc - c0
+    r1 = np.minimum(r0 + 1, rows - 1)
+    c1 = np.minimum(c0 + 1, cols - 1)
+    v = (
+        samples[r0, c0] * (1 - fr) * (1 - fc)
+        + samples[r1, c0] * fr * (1 - fc)
+        + samples[r0, c1] * (1 - fr) * fc
+        + samples[r1, c1] * fr * fc
+    )
+    return np.where(inside, v, fill)
+
+
+B = BILINEAR_BLOCK
+
+
 class TestBilinear:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        layout=st.sampled_from(["flat", "scalar", "broadcast"]),
+        count=st.sampled_from([0, 1, B - 1, B, B + 1, 3 * B + 5]),
+        fill=st.sampled_from([np.nan, -7.0, 0.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_unblocked_sampler(self, shape, dtype, layout, count, fill, seed):
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(0.0, 50.0, shape).astype(dtype)
+
+        def positions(n, size):
+            # a bin past either edge, some on grid nodes, some NaN or infinite
+            p = rng.uniform(-1.5, n + 0.5, size)
+            nodes = rng.random(size) < 0.2
+            p[nodes] = np.round(p[nodes])
+            special = rng.random(size) < 0.1
+            p[special] = rng.choice([np.nan, np.inf, -np.inf], special.sum())
+            return p
+
+        rows, cols = shape
+        if layout == "scalar":
+            r, c = float(positions(rows, 1)[0]), float(positions(cols, 1)[0])
+        elif layout == "broadcast":
+            # (n, 1) against (1, 3): 3n samples, across the block edges
+            r, c = positions(rows, (count, 1)), positions(cols, (1, 3))
+        else:
+            r, c = positions(rows, count), positions(cols, count)
+        got = bilinear(samples, r, c, fill)
+        want = bilinear_unblocked(samples, r, c, fill)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_one_block_of_temporaries(self):
+        # the output plus 16 block-sized float64 temporaries; the unblocked
+        # form peaks at about eleven times the output
+        n = 128_000
+        rng = np.random.default_rng(0)
+        samples = rng.normal(0.0, 50.0, (100, 100)).astype(np.float32)
+        r, c = rng.uniform(-1, 100, n), rng.uniform(-1, 100, n)
+        tracemalloc.start()
+        try:
+            bilinear(samples, r, c, np.nan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + 16 * 8 * B, f"peak {peak / 1e6:.2f} MB"
+
     def test_off_grid_and_nan_positions_get_fill(self):
         s = np.array([[0.0, 1.0], [2.0, 3.0]], dtype=np.float32)
         out = bilinear(s, [0.5, -0.1, 0.5, np.nan, 1.0], [0.5, 0.5, 1.2, 0.5, 1.0], -7.0)

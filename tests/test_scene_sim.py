@@ -273,17 +273,31 @@ def _render_sar_oracle(dem, reflectance, model, shape, supersample=2):
     return img.astype(np.float32), row.size
 
 
+# a 4.5 km wide strip: at supersample 2 one track-frame row of the north
+# track holds more samples than one weighting block
+_WIDE_SPEC = SceneSpec(extent=(4500.0, 6.0), texture_seed=3,
+                       buildings=(Building(rect=(2000, 1, 2030, 5), height=15.0),))
+
+
 class TestRenderSar:
-    @pytest.mark.parametrize("track", ["north", "30", "climbing"])
-    def test_projects_only_lit_samples_and_equals_full_box(self, track, monkeypatch):
-        spec = _city_spec(extent=(90.0, 40.0))
+    @pytest.mark.parametrize("track, supersample, spec", [
+        pytest.param("north", 2, None, id="north"),
+        pytest.param("30", 2, None, id="30"),
+        pytest.param("climbing", 2, None, id="climbing"),
+        *(pytest.param(track, supersample, None, id=f"{track}-supersample{supersample}")
+          for supersample in (1, 3) for track in ("north", "30", "climbing")),
+        pytest.param("north", 2, _WIDE_SPEC, id="north-row-over-one-block"),
+    ])
+    def test_projects_only_lit_samples_and_equals_full_box(self, track, supersample, spec,
+                                                           monkeypatch):
+        spec = spec or _city_spec(extent=(90.0, 40.0))
         dem, refl = make_scene(spec)
         sar, _, sar_shape, _ = canonical_scene_models(spec)
         if track == "climbing":
             sar = dataclasses.replace(sar, v=sar.v + np.array([0.0, 0.0, 0.5]))
         elif track == "30":
-            sar = _rotated_track(sar, 30.0, (45.0, 20.0))
-        expected, n_box = _render_sar_oracle(dem, refl, sar, sar_shape)
+            sar = _rotated_track(sar, 30.0, tuple(np.array(spec.extent) / 2))
+        expected, n_box = _render_sar_oracle(dem, refl, sar, sar_shape, supersample)
         projected = []
 
         def counting(model, ground):
@@ -291,11 +305,11 @@ class TestRenderSar:
             return sar_forward_array(model, ground)
 
         monkeypatch.setattr(scene_sim, "sar_forward_array", counting)
-        img = render_sar(dem, refl, sar, RenderNoise(), sar_shape)
+        img = render_sar(dem, refl, sar, RenderNoise(), sar_shape, supersample)
         assert img.samples.tobytes() == expected.tobytes()
-        # at most the DEM's own 2 x 2 sub-cells per cell carry energy; the
-        # 30 degree track's box holds about twice as many samples
-        assert len(projected) == 1 and projected[0] <= 4 * dem.rows * dem.cols
+        # at most the DEM's own supersample x supersample sub-cells per cell
+        # carry energy; the 30 degree track's box holds about twice as many
+        assert len(projected) == 1 and projected[0] <= supersample**2 * dem.rows * dem.cols
         assert track != "30" or n_box > 2 * projected[0]
 
     @pytest.mark.parametrize("supersample", [0, -3, 2.5])
