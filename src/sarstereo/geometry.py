@@ -29,6 +29,7 @@ inverse.  sar_inverse_at_height is scalar only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -72,7 +73,7 @@ class GroundPoint:
     h: float
 
     def __post_init__(self):
-        if not all(np.isfinite([self.x, self.y, self.h])):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.h)):
             raise ValueError("GroundPoint coordinates must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -91,7 +92,7 @@ class ImagePoint:
     col: float
 
     def __post_init__(self):
-        if not all(np.isfinite([self.row, self.col])):
+        if not (math.isfinite(self.row) and math.isfinite(self.col)):
             raise ValueError("ImagePoint coordinates must be finite")
 
 
@@ -103,7 +104,7 @@ class SarObservation:
     r: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.t) and np.isfinite(self.r) and self.r > 0):
+        if not (math.isfinite(self.t) and math.isfinite(self.r) and self.r > 0):
             raise ValueError("SarObservation requires finite t and r > 0")
 
 
@@ -222,7 +223,7 @@ def _xyz(a):
 
 def rotation_from_angles(phi: float, omega: float, kappa: float) -> np.ndarray:
     """Orthonormal rotation R = Rz(kappa) @ Ry(phi) @ Rx(omega)."""
-    if not all(np.isfinite([phi, omega, kappa])):
+    if not (math.isfinite(phi) and math.isfinite(omega) and math.isfinite(kappa)):
         raise ValueError("rotation angles must be finite")
     cp, sp = np.cos(phi), np.sin(phi)
     co, so = np.cos(omega), np.sin(omega)

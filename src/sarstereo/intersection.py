@@ -21,6 +21,15 @@ closed form (Smith, "Eigenvalues of a symmetric 3x3 matrix", CACM 1961):
 the closed-form largest root stays accurate when eigenvalues repeat, where
 the smallest root of a nearly rank-one N would not.
 
+The eigenvalues are needed only near the limit.  For a symmetric positive
+definite N, lambda_max(N) <= tr(N) and lambda_max(N^-1) <= tr(N^-1), so
+cond(N) <= tr(N) * tr(N^-1), and N is accepted at once when that product is
+at most 1e12 / 2; the factor 2 covers the estimate's relative error of
+about 1e-8, so the screen accepts nothing the estimate would refuse.  Only
+the other matrices get the eigenvalue test, on copies of N and N^-1 scaled
+by 2^-e and 2^e (2^e about tr(N)), an exact scaling that keeps Smith's
+squares and cubes from overflowing or underflowing.
+
 intersect raises ValueError before its first linearization unless tol is
 finite and > 0 and max_iterations is an integer >= 1; ObservationWeights
 requires every sigma to be finite and > 0.
@@ -252,10 +261,21 @@ def _conditioned_inverse(normal: tuple) -> tuple:
     lambda_max(N) * lambda_max(N^-1) is at most 1e12.
 
     Raises SingularNormalMatrix otherwise, or when N is not finite and
-    positive definite.
+    positive definite.  N is accepted without eigenvalues when
+    tr(N) * tr(N^-1) <= 1e12 / 2, an upper bound on the condition number.
     """
     inverse = _spd_inverse(normal)
-    if not _largest_eigenvalue(*normal) * _largest_eigenvalue(*inverse) <= _COND_LIMIT:
+    trace = normal[0] + normal[3] + normal[5]
+    if trace * (inverse[0] + inverse[3] + inverse[5]) <= _COND_LIMIT / 2:
+        return inverse
+    # Smith's squares and cubes overflow or underflow far from unit scale;
+    # scaling N by 2^-e and N^-1 by 2^e is exact and leaves the product
+    # alone (e is clamped so that both factors are normal floats)
+    e = min(max(math.frexp(trace)[1], -1022), 1022)
+    s, t = math.ldexp(1.0, -e), math.ldexp(1.0, e)
+    cond = (_largest_eigenvalue(*(a * s for a in normal))
+            * _largest_eigenvalue(*(a * t for a in inverse)))
+    if not cond <= _COND_LIMIT:
         raise SingularNormalMatrix(f"condition number exceeds {_COND_LIMIT:g}")
     return inverse
 
@@ -317,7 +337,9 @@ def intersect(
 
     The normal equations are solved in closed form, with no LAPACK call
     (see the module docstring).  SingularNormalMatrix is raised when the
-    condition estimate of J'J exceeds 1e12, and when the residuals, the
+    condition estimate of J'J exceeds 1e12; J'J is accepted without it when
+    tr(J'J) * tr((J'J)^-1), an upper bound on the condition number, is at
+    most 1e12 / 2.  It is also raised when the residuals, the
     Jacobian or J'J are not finite (at the SAR sensor position, say) or J'J
     is not positive definite.  The covariance is the inverse of J'J at the
     solution.

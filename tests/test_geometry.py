@@ -1,6 +1,7 @@
 """Tests for sensor models and forward/inverse projections."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -311,6 +312,43 @@ class TestSerialization:
             OpticalSensorModel(pc=(0, 0, 100), focal=-1.0)
         with pytest.raises(ValueError):
             SarSensorModel(s0=(0, 0, 0), v=(1, 0, 0), range_per_col=0.0)
+
+
+class TestValueTypes:
+    """Coordinates and angles are checked one real number at a time."""
+
+    # each value type, or function, with its number of arguments
+    CHECKED = [(GroundPoint, 3), (ImagePoint, 2), (SarObservation, 2),
+               (rotation_from_angles, 3)]
+
+    @staticmethod
+    def calls(make, n, value):
+        """make with value in each argument position in turn, 1.0 elsewhere."""
+        for k in range(n):
+            args = [1.0] * n
+            args[k] = value
+            yield partial(make, *args)
+
+    @pytest.mark.parametrize("make, n", CHECKED)
+    def test_non_finite_rejected(self, make, n):
+        for kind in (float, np.float32, np.float64):
+            for bad in (np.nan, np.inf, -np.inf):
+                for call in self.calls(make, n, kind(bad)):
+                    with pytest.raises(ValueError):
+                        call()
+
+    @pytest.mark.parametrize("make, n", CHECKED)
+    def test_real_scalars_accepted(self, make, n):
+        for good in (2.5, 3, np.float32(2.5), np.float64(2.5), np.int64(3), np.array(2.5)):
+            for call in self.calls(make, n, good):
+                call()
+
+    @pytest.mark.parametrize("make, n", CHECKED)
+    def test_non_numbers_rejected(self, make, n):
+        for bad in (None, "1.0", np.array([1.0])):
+            for call in self.calls(make, n, bad):
+                with pytest.raises(TypeError):
+                    call()
 
 
 def finite(lo, hi):

@@ -1,5 +1,6 @@
 """Tests for the stereo intersection solver."""
 
+import math
 import warnings
 
 import numpy as np
@@ -27,6 +28,10 @@ from sarstereo.intersection import (
     ObservationWeights,
     SingularNormalMatrix,
     _conditioned_inverse,
+    _largest_eigenvalue,
+    _spd_inverse,
+    _sum_sq,
+    _TiePoint,
     intersect,
     jacobian,
     residuals,
@@ -105,10 +110,16 @@ def _lapack_linearize(sar_model, opt_model, sar_obs, opt_obs, pa, weights):
 
 def lapack_intersect(sar_model, opt_model, sar_obs, opt_obs, initial, weights,
                      max_iterations=50, tol=1e-4):
-    """Oracle: the same Gauss-Newton rule with np.linalg cond, solve and inv."""
+    """Oracle: the same Gauss-Newton rule with np.linalg cond, solve and inv.
+
+    Residuals, Jacobian and SSE come from the library's _TiePoint and
+    _sum_sq, so both solvers compare the same SSE values and differ only in
+    the solve; _lapack_linearize checks that linearization on its own.
+    """
+    tie = _TiePoint(sar_model, opt_model, sar_obs, opt_obs, weights)
     p = initial.as_array()
-    r, jac = _lapack_linearize(sar_model, opt_model, sar_obs, opt_obs, p, weights)
-    sse = float(np.dot(r, r))
+    r, jac = tie.linearize(tuple(p.tolist()))
+    r, jac, sse = np.array(r), np.array(jac), _sum_sq(r)
     for it in range(1, max_iterations + 1):
         normal = jac.T @ jac
         if np.linalg.cond(normal) > 1e12:
@@ -118,15 +129,13 @@ def lapack_intersect(sar_model, opt_model, sar_obs, opt_obs, initial, weights,
         for _ in range(8):
             trial = p + alpha * step
             try:
-                trial_r, trial_jac = _lapack_linearize(
-                    sar_model, opt_model, sar_obs, opt_obs, trial, weights
-                )
+                trial_r, trial_jac = tie.linearize(tuple(trial.tolist()))
             except BehindCamera:
                 trial_sse = np.inf
             else:
-                trial_sse = float(np.dot(trial_r, trial_r))
+                trial_sse = _sum_sq(trial_r)
             if trial_sse <= sse:
-                p, r, jac, sse = trial, trial_r, trial_jac, trial_sse
+                p, r, jac, sse = trial, np.array(trial_r), np.array(trial_jac), trial_sse
                 break
             alpha *= 0.5
         else:
@@ -359,18 +368,32 @@ def _exhausted_halving_setup():
     return sar, opt, sar_obs, opt_obs, GroundPoint(272.6, -44.7, 138.1), w
 
 
+# a noisy tie point: stereo_setup's geometry, observations of target moved
+# by noise (in sigmas), and a start offset from target
+_TIE_POINT = dict(
+    mode=st.sampled_from(["same", "opposite"]),
+    theta=st.floats(15.0, 55.0),
+    alpha=st.floats(3.0, 30.0),
+    target=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(0.0, 40.0)),
+    offset=st.tuples(*[st.floats(-8.0, 8.0)] * 3),
+    noise=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+)
+
+
+def _noisy_tie_point(mode, theta, alpha, target, offset, noise):
+    """intersect's arguments (sar, opt, sar_obs, opt_obs, start, weights)."""
+    sar, opt, w = stereo_setup(mode, theta, alpha)
+    sar_obs, opt_obs = exact_observations(sar, opt, GroundPoint(*target))
+    sar_obs = SarObservation(t=sar_obs.t + noise[0] * w.sigma_t,
+                             r=sar_obs.r + noise[1] * w.sigma_r)
+    opt_obs = ImagePoint(row=opt_obs.row + noise[2] * w.sigma_px,
+                         col=opt_obs.col + noise[3] * w.sigma_px)
+    return sar, opt, sar_obs, opt_obs, GroundPoint(*(np.add(target, offset))), w
+
+
 class TestAgainstLapackOracle:
     @settings(max_examples=150, deadline=None)
-    @given(
-        mode=st.sampled_from(["same", "opposite"]),
-        theta=st.floats(15.0, 55.0),
-        alpha=st.floats(3.0, 30.0),
-        target=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
-                         st.floats(0.0, 40.0)),
-        offset=st.tuples(*[st.floats(-8.0, 8.0)] * 3),
-        noise=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
-        max_iterations=st.integers(1, 50),
-    )
+    @given(**_TIE_POINT, max_iterations=st.integers(1, 50))
     # two draws where the points differ by more than 1e-9 m (1.16e-9 and
     # 1.14e-9 m), about six float spacings of the slant range
     @example(mode="opposite", theta=51.0, alpha=28.0, target=(1.0, 0.0, 0.0),
@@ -379,17 +402,22 @@ class TestAgainstLapackOracle:
              target=(14.625, 44.671875, 0.0),
              offset=(6.5625, 4.062752807391366, 7.938689396977487),
              noise=(0.0, 0.7347145285015007, 0.0, 1.1070361166524956), max_iterations=3)
+    # a draw whose last step changed the SSE by less than one float spacing
+    # of it, when the oracle restated the residuals with numpy: the two
+    # solvers then halved that step differently
+    @example(mode="same", theta=49.5, alpha=3.0, target=(1.0, 6.0, 1.0),
+             offset=(0.5, 0.0, 0.0), noise=(-1.125, 0.0, -0.78125, 0.0), max_iterations=2)
+    # near-glancing starts with cond(J'J) of 1.6e12 (SingularNormalMatrix)
+    # and 6.6e11 (NoConvergence in one iteration), so that a condition limit
+    # moved by a factor of 2 either way changes the outcome
+    @example(mode="opposite", theta=54.0, alpha=35.99982, target=(0.0, 0.0, 0.0),
+             offset=(0.0, 0.0, 1.0), noise=(0.0, 0.0, 0.0, 0.0), max_iterations=1)
+    @example(mode="opposite", theta=54.0, alpha=35.99977, target=(0.0, 0.0, 0.0),
+             offset=(0.0, 0.0, 1.0), noise=(0.0, 0.0, 0.0, 0.0), max_iterations=1)
     def test_same_point_iterations_and_failures(
         self, mode, theta, alpha, target, offset, noise, max_iterations
     ):
-        sar, opt, w = stereo_setup(mode, theta, alpha)
-        sar_obs, opt_obs = exact_observations(sar, opt, GroundPoint(*target))
-        sar_obs = SarObservation(t=sar_obs.t + noise[0] * w.sigma_t,
-                                 r=sar_obs.r + noise[1] * w.sigma_r)
-        opt_obs = ImagePoint(row=opt_obs.row + noise[2] * w.sigma_px,
-                             col=opt_obs.col + noise[3] * w.sigma_px)
-        start = GroundPoint(*(np.add(target, offset)))
-        args = (sar, opt, sar_obs, opt_obs, start, w)
+        args = _noisy_tie_point(mode, theta, alpha, target, offset, noise)
         want = _outcome(lapack_intersect, *args, max_iterations=max_iterations)
         got = _outcome(intersect, *args, max_iterations=max_iterations)
         if isinstance(want, type):
@@ -397,15 +425,30 @@ class TestAgainstLapackOracle:
             return
         assert isinstance(got, IntersectionResult)
         assert got.iterations == want.iterations
-        # both solvers round the range residual |s - p| - r, so each iterate
-        # carries an error of a few float spacings of |s - p|
-        floor = np.finfo(float).eps * sar_forward(sar, want.point).r
+        # the range residual |s - p| - r is rounded at a few float spacings
+        # of |s - p|, and the two solves round differently within that
+        floor = np.finfo(float).eps * sar_forward(args[0], want.point).r
         assert np.abs(got.point.as_array() - want.point.as_array()).max() <= 16 * floor
         # an inverse holds to about eps * cond; cond(J'J) < 1e4 here
         cov_err = np.abs(got.covariance - want.covariance).max()
         assert cov_err <= 1e-11 * np.abs(want.covariance).max()
         # weighted residuals move by |J| * 1e-9, a few 1e-9, between the two points
         assert got.rms_residual == pytest.approx(want.rms_residual, rel=1e-6, abs=1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**_TIE_POINT)
+    def test_numpy_restatement_of_linearize(self, mode, theta, alpha, target, offset, noise):
+        sar, opt, sar_obs, opt_obs, start, w = _noisy_tie_point(
+            mode, theta, alpha, target, offset, noise)
+        p = start.as_array()
+        res, jac = _TiePoint(sar, opt, sar_obs, opt_obs, w).linearize(tuple(p.tolist()))
+        want_res, want_jac = _lapack_linearize(sar, opt, sar_obs, opt_obs, p, w)
+        # a residual is a function of coordinates of the size of |p - s| or
+        # |p - pc|, so it is rounded relative to that times its Jacobian row
+        row_norm = np.linalg.norm(want_jac, axis=1)
+        size = max(np.linalg.norm(p - sar.position(sar_obs.t)), np.linalg.norm(p - opt.pc))
+        assert np.all(np.abs(np.array(res) - want_res) <= 1e-12 * size * row_norm)
+        assert np.all(np.abs(np.array(jac) - want_jac) <= 1e-12 * row_norm[:, None])
 
     @pytest.mark.parametrize("case", ["glancing", "exhausted_halving", "start_behind_camera"])
     def test_failures_match(self, case):
@@ -450,6 +493,74 @@ class TestAgainstLapackOracle:
         got = _conditioned_inverse(six)
         err = np.abs(np.array(got) - inverse[np.triu_indices(3)]).max()
         assert err <= 100 * np.finfo(float).eps * cond * np.abs(inverse).max()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+        log_cond=st.floats(10.0, 13.0),
+        middle=st.floats(0.1, 1.0),
+        log_scale=st.floats(-6.0, 6.0),
+    )
+    def test_trace_screen_decides_as_the_eigenvalue_test(self, angles, log_cond, middle,
+                                                          log_scale):
+        # one dominant eigenvalue, so tr(N) is close to lambda_max(N) and
+        # tr(N) tr(N^-1) falls on both sides of the screen's 1e12 / 2
+        rot = Rotation.from_euler("zyx", angles).as_matrix()
+        lam = np.array([1.0, 10.0 ** (-middle * log_cond), 10.0 ** -log_cond])
+        n = (rot * lam * 10.0 ** log_scale) @ rot.T
+        six = tuple(((n + n.T) / 2)[np.triu_indices(3)].tolist())
+
+        def unscreened(normal):
+            inverse = _spd_inverse(normal)
+            if not _largest_eigenvalue(*normal) * _largest_eigenvalue(*inverse) <= 1e12:
+                raise SingularNormalMatrix("condition number exceeds 1e12")
+            return inverse
+
+        assert _outcome(_conditioned_inverse, six) == _outcome(unscreened, six)
+
+    def test_condition_test_at_any_scale(self):
+        rot = Rotation.from_euler("zyx", (0.3, -1.1, 0.7)).as_matrix()
+
+        def six_entries(lam):
+            n = (rot * lam) @ rot.T
+            return tuple(((n + n.T) / 2)[np.triu_indices(3)].tolist())
+
+        well = (2.0, 0.1, 0.2, 3.0, 0.3, 4.0)  # cond about 2
+        # tr(N) tr(N^-1) = 6e11 > 1e12 / 2: left to the eigenvalue test
+        near = six_entries(np.array([1.0, 1.0, 1.0 / 3e11]))
+        ill = six_entries(np.array([1.0, 1.0, 1e-13]))
+        for k in range(-300, 301, 5):
+            for accepted, normal in ((True, well), (True, near), (False, ill)):
+                scaled = tuple(a * 10.0 ** k for a in normal)
+                if not all(map(math.isfinite, _spd_inverse(scaled))):
+                    continue
+                if accepted:
+                    assert _conditioned_inverse(scaled) == _spd_inverse(scaled), k
+                else:
+                    with pytest.raises(SingularNormalMatrix):
+                        _conditioned_inverse(scaled)
+
+    def test_well_conditioned_solve_computes_no_eigenvalue(self, monkeypatch):
+        from sarstereo import intersection
+
+        def refuse(*args):
+            raise AssertionError("eigenvalue computed")
+
+        monkeypatch.setattr(intersection, "_largest_eigenvalue", refuse)
+        sar, opt, w = stereo_setup()
+        p = GroundPoint(5.0, -3.0, 12.0)
+        sar_obs, opt_obs = exact_observations(sar, opt, p)
+        res = intersect(sar, opt, sar_obs, opt_obs, GroundPoint(35.0, -23.0, 27.0), w)
+        assert np.allclose(res.point.as_array(), p.as_array(), atol=1e-6)
+        # the glancing case of test_failures_match is left to the eigenvalues
+        sar, opt, w = stereo_setup("opposite", 54.0, 36.0 - 1e-7)
+        sar_obs, opt_obs = exact_observations(sar, opt, GroundPoint(0.0, 0.0, 0.0))
+        args = (sar, opt, sar_obs, opt_obs, GroundPoint(0, 0, 1), w)
+        with pytest.raises(AssertionError, match="eigenvalue computed"):
+            intersect(*args)
+        monkeypatch.undo()
+        with pytest.raises(SingularNormalMatrix):
+            intersect(*args)
 
     def test_no_linear_algebra_library_call(self, monkeypatch):
         sar, opt, w = stereo_setup("opposite", 40, 12)
