@@ -248,8 +248,11 @@ def linear_bins(pos, n: int, wrap: bool = False):
     Bin k is centred at position k.  Returns ((lo, w_lo), (hi, w_hi)) with
     lo = floor(pos), hi = lo + 1, w_hi = pos - lo and w_lo = 1 - w_hi.  With
     wrap the bins are circular modulo n; without it a neighbour off [0, n)
-    gets weight 0 (and index 0, so it stays a valid bin).
+    gets weight 0 (and index 0, so it stays a valid bin).  ValueError unless
+    n is an integer >= 1.
     """
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"axis length must be an integer >= 1, got {n!r}")
     pos = np.asarray(pos, dtype=float)
     lo = np.floor(pos)
     w_hi = pos - lo
@@ -267,7 +270,7 @@ def linear_bins(pos, n: int, wrap: bool = False):
     return (lo, w_lo), (hi, w_hi)
 
 
-def soft_histogram(axes, shape: tuple[int, ...], weight) -> np.ndarray:
+def soft_histogram(axes, shape: tuple[int, ...], weight, more=()) -> np.ndarray:
     """Splat weighted samples into a histogram of the given shape.
 
     The adjoint of bilinear sampling: each entry of axes is one output axis
@@ -275,9 +278,17 @@ def soft_histogram(axes, shape: tuple[int, ...], weight) -> np.ndarray:
     soft axis or one (index, None) for a hard one; the indices broadcast to
     weight's shape and each lies in [0, n) of its axis, as linear_bins'
     always do.  Each sample adds weight times its corner weights to every
-    combination of corners.  One bincount runs per combination, in the
-    order of itertools.product, so only one combination's flat index and
-    weights are alive at a time.
+    combination of corners.  Only one combination's flat index and weights
+    are alive at a time.
+
+    more holds further consecutive blocks of samples, each an (axes, weight)
+    pair like the first; a generator keeps one block alive at a time.  Each
+    combination has its own accumulator: the first block's bincount starts
+    it and later blocks add into it with np.add.at, which, like bincount,
+    adds sample after sample into a running total, so the blocks give the
+    bytes of one bincount over all samples.  The accumulators are then
+    summed in the order of itertools.product.  Memory is one block plus one
+    accumulator per combination, whatever the number of samples.
 
     The flat index is stride arithmetic on the axes' indices, and the inputs
     are only read, so axes that depend only on a window's geometry can be
@@ -285,19 +296,31 @@ def soft_histogram(axes, shape: tuple[int, ...], weight) -> np.ndarray:
     cell index per (side, cell) and the SIFT spatial corners per scale as
     read-only arrays.
     """
-    weight = np.asarray(weight, dtype=float)
     strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
-    hist = np.zeros(math.prod(shape))
-    for corner in itertools.product(*axes):
-        flat = corner[-1][0]  # the last axis has stride 1
-        for (idx, _), stride in zip(corner[:-1], strides):
-            flat = idx * stride + flat
-        w = weight
-        for _, wi in corner:
-            if wi is not None:
-                w = weight * wi if w is weight else np.multiply(w, wi, out=w)
-        hist += np.bincount(flat.ravel(), weights=w.ravel(), minlength=hist.size)
-        del flat, w  # freed before the next combination's are built
+    size = math.prod(shape)
+    acc = []
+    for axes, weight in itertools.chain([(axes, weight)], more):
+        weight = np.asarray(weight, dtype=float)
+        for k, corner in enumerate(itertools.product(*axes)):
+            flat = corner[-1][0]  # the last axis has stride 1
+            for (idx, _), stride in zip(corner[:-1], strides):
+                flat = idx * stride + flat
+            w = weight
+            for _, wi in corner:
+                if wi is not None:
+                    w = weight * wi if w is weight else np.multiply(w, wi, out=w)
+            if k < len(acc):
+                np.add.at(acc[k], flat.ravel(), w.ravel())
+            else:
+                # an empty bincount is int64, which np.add.at would truncate into
+                acc.append(np.bincount(flat.ravel(), weights=w.ravel(), minlength=size)
+                           .astype(float, copy=False))
+            del flat, w  # freed before the next combination's are built
+    # summed into the first accumulator: a bincount never holds -0.0, so
+    # adding it to zeros would give the same bytes
+    hist = acc[0]
+    for a in acc[1:]:
+        hist += a
     return hist.reshape(shape)
 
 

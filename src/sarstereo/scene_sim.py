@@ -260,7 +260,8 @@ def _track_samples(grid: GroundGrid, model: SarSensorModel, sub: float):
 
     Rows run along u_hat = v_xy / |v_xy|, one zero-Doppler line each, and
     columns along w_hat = (u_hat_y, -u_hat_x).  Returns the rows' and the
-    columns' 1-D offsets u and w from the sensor at t0, and world x and y.
+    columns' 1-D offsets u and w from the sensor at t0, and xy(rows), the
+    world x and y of the samples of a slice of rows.
     """
     vx, vy = model.v[:2]
     speed = np.hypot(vx, vy)
@@ -273,7 +274,11 @@ def _track_samples(grid: GroundGrid, model: SarSensorModel, sub: float):
     u, w = (e.min() + (np.arange(int(np.ceil(np.ptp(e) / sub - 1e-6))) + 0.5) * sub
             for e in (corners @ frame).T)
     s_u, s_w = model.position(model.t0)[:2] @ frame
-    return (u - s_u, w - s_w, *(u[:, None] * a + w * b for a, b in frame))
+
+    def xy(rows: slice):
+        return tuple(u[rows, None] * a + w * b for a, b in frame)
+
+    return u - s_u, w - s_w, xy
 
 
 def _shadow_mask(w: np.ndarray, hg: np.ndarray, z_s: float) -> np.ndarray:
@@ -310,70 +315,77 @@ def render_sar(
     binned together accumulate (layover), shadowed cells are darkened, and
     gamma-distributed speckle with the configured number of looks multiplies
     the result.  supersample, an integer >= 1, sets the ground samples per
-    DEM cell along each axis.  The per-sample weighting runs in blocks of
-    whole track-frame rows of about BILINEAR_BLOCK samples, so none of its
-    temporaries is full-frame.  SceneOutsideSwath is raised when the cells
+    DEM cell along each axis.  SceneOutsideSwath is raised when the cells
     that carry energy all project outside the grid.
+
+    Every per-sample stage runs in blocks of whole track-frame rows of about
+    BILINEAR_BLOCK samples, in row order, since a row's shadow needs all of
+    it: world x and y, DEM heights, the height gradient (taken on the block
+    plus one halo row on each side, so it equals the full frame's, one-sided
+    at the frame's edges), weighting, shadow, projection of the samples
+    that carry energy, density and bins.  soft_histogram takes the blocks
+    one after another and adds them in sample order, so the image is the
+    one a single splat of all samples gives, byte for byte, and memory is
+    O(block + output) instead of O(samples).  Assumption: along an axis of
+    the track frame that is one sample long the slope is taken as 0.
     """
     if not (isinstance(supersample, (int, np.integer)) and supersample >= 1):
         raise ValueError(f"supersample must be an integer >= 1, got {supersample!r}")
     grid = GroundGrid.from_raster(dem)
     rows_out, cols_out = shape
     sub = grid.step / supersample
-    du, dw, xg, yg = _track_samples(grid, model, sub)
+    du, dw, xy = _track_samples(grid, model, sub)
     ground = float(dem.samples.min())
-    hg = bilinear(dem.samples, *grid.cell_of(xg, yg), ground)
-
-    # local incidence weighting in the track frame: surface normal
-    # (-gw, -gu, 1) against the direction back toward the sensor
-    gu, gw = np.gradient(hg, sub)
     z_s = float(model.position(model.t0)[2])
-    # weighted in blocks of whole zero-Doppler rows, since a row's shadow
-    # depends on all of it; only samples that carry energy are kept for
-    # projection: the rest, off the DEM with fill reflectance 0 among them,
-    # would add +0.0 to every bin
-    kept = np.empty((4, hg.size))  # x, y, h and weight, by row
-    n_kept = 0
-    rows_per_block = max(1, BILINEAR_BLOCK // hg.shape[1])
-    for start in range(0, hg.shape[0], rows_per_block):
-        b = slice(start, start + rows_per_block)
-        h, gu_b, gw_b = hg[b], gu[b], gw[b]
-        refl = bilinear(reflectance.samples, *grid.cell_of(xg[b], yg[b]), 0.0)
-        look = np.stack(np.broadcast_arrays(dw, du[b, None], h - z_s))
-        look /= np.linalg.norm(look, axis=0)
-        n_norm = np.sqrt(gw_b * gw_b + gu_b * gu_b + 1.0)
-        cos_inc = np.clip(
-            (gw_b * look[0] + gu_b * look[1] - look[2]) / n_norm, 0.0, 1.0
-        )
-        weight = refl * (0.25 + 0.75 * cos_inc)
-        weight = np.where(_shadow_mask(dw, h, z_s), 0.03 * weight, weight)
-        lit = weight != 0
-        end = n_kept + np.count_nonzero(lit)
-        for k, v in enumerate((xg[b], yg[b], h, weight)):
-            kept[k, n_kept:end] = v[lit]
-        n_kept = end
-    xyz, weight = kept[:3, :n_kept], kept[3, :n_kept]
-
-    t, slant = sar_forward_array(model, xyz.T)
-    row = (t - model.t0) / model.az_time_per_row
-    col = (slant - model.r_near) / model.range_per_col
-    if row.size and (row.min() > rows_out - 1 or row.max() < 0
-                     or col.min() > cols_out - 1 or col.max() < 0):
-        raise SceneOutsideSwath("scene footprint misses the SAR grid entirely")
-
-    # energy conservation: a ground sub-cell of size sub x sub covers
-    # sub*sin(incidence) of slant range and sub of azimuth
-    sz = model.s0[2] + (t - model.t0) * model.v[2]
-    sin_inc = np.sqrt(np.clip(1.0 - ((sz - xyz[2]) / slant) ** 2, 1e-6, 1.0))
     vnorm = np.linalg.norm(model.v)
-    density = (sub * sin_inc / model.range_per_col) * (
-        sub / (vnorm * abs(model.az_time_per_row))
-    )
-    value = weight * density
+    rows_per_block = max(1, BILINEAR_BLOCK // dw.size)
+    spans = []  # each block's least and greatest row and col
 
-    img = soft_histogram(
-        (linear_bins(row, rows_out), linear_bins(col, cols_out)), shape, value
-    )
+    def blocks():
+        for start in range(0, du.size, rows_per_block):
+            halo = slice(max(start - 1, 0), start + rows_per_block + 1)
+            x, y = xy(halo)
+            h = bilinear(dem.samples, *grid.cell_of(x, y), ground)
+            # local incidence weighting in the track frame: surface normal
+            # (-gw, -gu, 1) against the direction back toward the sensor
+            gu, gw = (np.gradient(h, sub, axis=k) if h.shape[k] > 1 else np.zeros_like(h)
+                      for k in (0, 1))
+            b = slice(start - halo.start, start - halo.start + rows_per_block)
+            x, y, h, gu, gw = x[b], y[b], h[b], gu[b], gw[b]
+            refl = bilinear(reflectance.samples, *grid.cell_of(x, y), 0.0)
+            look = np.stack(np.broadcast_arrays(dw, du[start:start + rows_per_block, None],
+                                                h - z_s))
+            look /= np.linalg.norm(look, axis=0)
+            n_norm = np.sqrt(gw * gw + gu * gu + 1.0)
+            cos_inc = np.clip((gw * look[0] + gu * look[1] - look[2]) / n_norm, 0.0, 1.0)
+            weight = refl * (0.25 + 0.75 * cos_inc)
+            weight = np.where(_shadow_mask(dw, h, z_s), 0.03 * weight, weight)
+            # only samples that carry energy are projected: the rest, off
+            # the DEM with fill reflectance 0 among them, would add +0.0
+            lit = weight != 0
+            h, weight = h[lit], weight[lit]
+            t, slant = sar_forward_array(model, np.stack([x[lit], y[lit], h], axis=-1))
+            row = (t - model.t0) / model.az_time_per_row
+            col = (slant - model.r_near) / model.range_per_col
+            if row.size:
+                spans.append((row.min(), row.max(), col.min(), col.max()))
+            # energy conservation: a ground sub-cell of size sub x sub
+            # covers sub*sin(incidence) of slant range and sub of azimuth
+            sz = model.s0[2] + (t - model.t0) * model.v[2]
+            sin_inc = np.sqrt(np.clip(1.0 - ((sz - h) / slant) ** 2, 1e-6, 1.0))
+            density = (sub * sin_inc / model.range_per_col) * (
+                sub / (vnorm * abs(model.az_time_per_row))
+            )
+            yield (linear_bins(row, rows_out), linear_bins(col, cols_out)), weight * density
+
+    splats = blocks()
+    axes, value = next(splats)
+    img = soft_histogram(axes, shape, value, more=splats)
+    if spans:  # decided over the samples of all blocks
+        row_min, _, col_min, _ = np.min(spans, axis=0)
+        _, row_max, _, col_max = np.max(spans, axis=0)
+        if row_min > rows_out - 1 or row_max < 0 or col_min > cols_out - 1 or col_max < 0:
+            raise SceneOutsideSwath("scene footprint misses the SAR grid entirely")
 
     if noise.speckle_looks is not None:
         rng = np.random.default_rng(noise.seed + 2)

@@ -369,6 +369,50 @@ class TestSoftHistogram:
         assert lo.tolist() == [2, 2] and hi.tolist() == [0, 0]
         assert w_lo.tolist() == [0.25, 0.5] and w_hi.tolist() == [0.75, 0.5]
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        axes=st.lists(st.tuples(st.integers(1, 5), st.sampled_from(["soft", "wrap", "hard"])),
+                      min_size=1, max_size=3),
+        count=st.integers(0, 40),
+        cuts=st.lists(st.integers(0, 40), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_consecutive_blocks_equal_one_block(self, axes, count, cuts, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(n for n, _ in axes)
+        # soft positions reach a bin and a half past either end, so corners
+        # fall off a non-wrapped axis
+        positions = [rng.integers(0, n, count) if kind == "hard"
+                     else rng.uniform(-1.5, n + 0.5, count) for n, kind in axes]
+        weight = rng.uniform(-1.0, 2.0, count)
+
+        def binned(part):
+            return [[(p[part], None)] if kind == "hard"
+                    else linear_bins(p[part], n, wrap=kind == "wrap")
+                    for p, (n, kind) in zip(positions, axes)]
+
+        # random consecutive blocks, empty ones included (repeated cuts)
+        edges = [0, *sorted(min(c, count) for c in cuts), count]
+        parts = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        one = soft_histogram(binned(slice(None)), shape, weight)
+        got = soft_histogram(binned(parts[0]), shape, weight[parts[0]],
+                             more=((binned(b), weight[b]) for b in parts[1:]))
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == one.tobytes()
+        assert got.tobytes() == soft_histogram_ravel(binned(slice(None)), shape, weight).tobytes()
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("n", [0, -2, 2.0, "3", None])
+    def test_linear_bins_rejects_bad_axis_length(self, n, wrap):
+        with pytest.raises(ValueError, match="axis length"):
+            linear_bins([0.5], n, wrap=wrap)
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_linear_bins_accepts_numpy_integer_length(self, wrap):
+        for a, b in zip(linear_bins([-0.25, 2.5], np.int64(3), wrap),
+                        linear_bins([-0.25, 2.5], 3, wrap)):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
     def test_peak_memory_is_one_corner_at_a_time(self):
         # per corner, the flat index and the corner weight live at once; a
         # form that builds every corner before binning holds several times that

@@ -1,6 +1,7 @@
 """Tests for the synthetic scene generator and dual-sensor renderers."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from sarstereo.geometry import (
     sar_forward_array,
 )
 from sarstereo.intersection import ObservationWeights, intersect
-from sarstereo.raster import GroundGrid, Raster, bilinear, linear_bins, soft_histogram
+from sarstereo.raster import (
+    BILINEAR_BLOCK,
+    GroundGrid,
+    Raster,
+    bilinear,
+    linear_bins,
+    soft_histogram,
+)
 from sarstereo.scene_sim import (
     Building,
     Correspondence,
@@ -239,21 +247,28 @@ def _rotated_track(sar, degrees, centre):
 def _render_shadow(dem, sar, supersample=2):
     """render_sar's samples (x, y, h) and its shadow verdict at each."""
     grid = GroundGrid.from_raster(dem)
-    _, dw, xg, yg = _track_samples(grid, sar, grid.step / supersample)
+    _, dw, xy = _track_samples(grid, sar, grid.step / supersample)
+    xg, yg = xy(slice(None))
     hg = bilinear(dem.samples, *grid.cell_of(xg, yg), float(dem.samples.min()))
     return (xg, yg, hg), _shadow_mask(dw, hg, float(sar.position(sar.t0)[2]))
 
 
 def _render_sar_oracle(dem, reflectance, model, shape, supersample=2):
     """Noise-free render_sar that projects and splats every sample of the
-    track frame's bounding box of the DEM, those off the DEM included."""
+    track frame's bounding box of the DEM, those off the DEM included, in
+    one pass over the full frame.  Along a one-sample axis the slope is 0."""
     grid = GroundGrid.from_raster(dem)
     sub = grid.step / supersample
-    du, dw, xg, yg = _track_samples(grid, model, sub)
+    du, dw, xy = _track_samples(grid, model, sub)
+    xg, yg = xy(slice(None))
     r_idx, c_idx = grid.cell_of(xg, yg)
     hg = bilinear(dem.samples, r_idx, c_idx, float(dem.samples.min()))
     refl = bilinear(reflectance.samples, r_idx, c_idx, 0.0)
-    gu, gw = np.gradient(hg, sub)
+    if min(hg.shape) > 1:
+        gu, gw = np.gradient(hg, sub)
+    else:
+        gu, gw = (np.gradient(hg, sub, axis=k) if hg.shape[k] > 1 else np.zeros_like(hg)
+                  for k in (0, 1))
     z_s = float(model.position(model.t0)[2])
     look = np.stack(np.broadcast_arrays(dw, du[:, None], hg - z_s))
     look /= np.linalg.norm(look, axis=0)
@@ -309,8 +324,45 @@ class TestRenderSar:
         assert img.samples.tobytes() == expected.tobytes()
         # at most the DEM's own supersample x supersample sub-cells per cell
         # carry energy; the 30 degree track's box holds about twice as many
-        assert len(projected) == 1 and projected[0] <= supersample**2 * dem.rows * dem.cols
-        assert track != "30" or n_box > 2 * projected[0]
+        total = sum(projected)
+        assert total <= supersample**2 * dem.rows * dem.cols
+        # each call projects one block of whole track-frame rows at most
+        grid = GroundGrid.from_raster(dem)
+        row_length = _track_samples(grid, sar, grid.step / supersample)[1].size
+        assert max(projected) <= max(1, BILINEAR_BLOCK // row_length) * row_length
+        assert track != "30" or n_box > 2 * total
+
+    @pytest.mark.parametrize("supersample", [1, 2])
+    @pytest.mark.parametrize("extent", [(1.0, 10.0), (10.0, 1.0), (1.0, 1.0)])
+    def test_one_sample_frame_takes_zero_slope(self, extent, supersample):
+        # at supersample 1 the track frame is one sample long or wide, and
+        # np.gradient cannot take a slope along that axis
+        spec = SceneSpec(extent=extent, texture_seed=2)
+        dem, refl = make_scene(spec)
+        sar, _, sar_shape, _ = canonical_scene_models(spec)
+        expected, _ = _render_sar_oracle(dem, refl, sar, sar_shape, supersample)
+        img = render_sar(dem, refl, sar, RenderNoise(), sar_shape, supersample)
+        assert img.samples.tobytes() == expected.tobytes()
+        # at supersample 2 both samples across a one-cell axis lie a quarter
+        # cell off the DEM's only centre, where the reflectance fill is 0
+        assert (img.samples.max() > 0) == (supersample == 1 or min(dem.samples.shape) > 1)
+
+    def test_peak_memory_is_one_block_and_the_output(self):
+        # 500 m x 500 m at supersample 2: a million samples; the full-frame
+        # render held about 220 bytes per sample at once
+        spec = SceneSpec(extent=(500.0, 500.0), texture_seed=5,
+                         buildings=(Building(rect=(200, 150, 260, 300), height=25.0),))
+        dem, refl = make_scene(spec)
+        sar, _, sar_shape, _ = canonical_scene_models(spec)
+        noise = RenderNoise(speckle_looks=4, seed=1)
+        tracemalloc.start()
+        try:
+            render_sar(dem, refl, sar, noise, sar_shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 64 * sar_shape[0] * sar_shape[1] + 4 * 2**20
+        assert peak <= bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("supersample", [0, -3, 2.5])
     def test_rejects_supersample_that_is_not_a_positive_integer(self, supersample):
