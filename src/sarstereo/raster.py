@@ -258,11 +258,13 @@ def linear_bins(pos, n: int, wrap: bool = False):
     w_hi = pos - lo
     w_lo = 1.0 - w_hi
     lo = lo.astype(np.int64)
-    hi = lo + 1
     if wrap:
+        # one integer modulo: (lo + 1) mod n is lo mod n + 1, or 0 where that is n
         lo %= n
-        hi %= n
+        hi = lo + 1
+        hi *= hi != n
     else:
+        hi = lo + 1
         for idx, w in ((lo, w_lo), (hi, w_hi)):
             off = (idx < 0) | (idx >= n)
             idx[off] = 0

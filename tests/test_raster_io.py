@@ -413,6 +413,22 @@ class TestSoftHistogram:
                         linear_bins([-0.25, 2.5], 3, wrap)):
             assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        pos=st.lists(st.one_of(st.floats(-12.0, 12.0), st.floats(-1e18, 1e18),
+                               st.sampled_from([-0.0, 0.5, -0.5, -1e-300, 8.0, 9.0, -9.0])),
+                     min_size=1, max_size=30),
+    )
+    def test_wrapped_bins_equal_np_mod(self, n, pos):
+        pos = np.array(pos)
+        lo = np.floor(pos).astype(np.int64)
+        expected = ((np.mod(lo, n), 1.0 - (pos - np.floor(pos))),
+                    (np.mod(lo + 1, n), pos - np.floor(pos)))
+        for got, want in zip(linear_bins(pos, n, wrap=True), expected):
+            assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                       for g, w in zip(got, want))
+
     def test_peak_memory_is_one_corner_at_a_time(self):
         # per corner, the flat index and the corner weight live at once; a
         # form that builds every corner before binning holds several times that

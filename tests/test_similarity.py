@@ -1,6 +1,7 @@
 """Tests for the five patch similarity measures."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,26 @@ from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 from sarstereo import similarity
-from sarstereo.raster import linear_bins
+from sarstereo.raster import BILINEAR_BLOCK, linear_bins, to_db
+from sarstereo.scene_sim import (
+    Building,
+    RenderNoise,
+    SceneSpec,
+    canonical_scene_models,
+    make_scene,
+    render_optical,
+    render_sar,
+)
 from sarstereo.similarity import (
     HOG_EPS,
     HOPC_PC_FLOOR,
+    PC_CUT_OFF,
+    PC_EPSILON,
+    PC_GAIN,
+    PC_MULT,
+    PC_NOISE_K,
+    PC_ORIENTATIONS,
+    PC_SCALES,
     SIFT_CLIP,
     ConstantPatch,
     DegenerateHistogram,
@@ -215,6 +232,177 @@ class TestPhaseCongruency:
         a = phase_congruency_maps(base)[0]
         b = phase_congruency_maps(base * 250.0)[0]
         assert np.abs(a - b).max() < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# phase congruency against the full-frame evaluation
+# ---------------------------------------------------------------------------
+
+def phase_congruency_full_frame(image):
+    """phase_congruency_maps as a full-frame evaluation: every scale's
+    spectrum, each orientation's responses and every per-pixel map at once."""
+    img = np.asarray(image, dtype=float)
+    std = img.std()
+    if std > 0:
+        img = (img - img.mean()) / std
+    fimg = np.fft.fft2(img)
+    radials, spreads = similarity._log_gabor_bank(img.shape)
+    # the spectrum through each radial filter, shared by every orientation
+    by_scale = [fimg * radial for radial in radials]
+
+    numer_total = np.zeros(img.shape)
+    sum_an_total = np.zeros(img.shape)
+    pc_by_orient = np.empty((PC_ORIENTATIONS,) + img.shape)
+    for o in range(PC_ORIENTATIONS):
+        sum_e = np.zeros(img.shape)
+        sum_o = np.zeros(img.shape)
+        sum_an = np.zeros(img.shape)
+        eo = []
+        tau = 0.0
+        for s in range(PC_SCALES):
+            resp = np.fft.ifft2(by_scale[s] * spreads[o])
+            e, od = resp.real, resp.imag
+            an = np.abs(resp)
+            eo.append((e, od))
+            sum_e += e
+            sum_o += od
+            sum_an += an
+            if s == 0:
+                tau = np.median(an) / np.sqrt(np.log(4))
+                max_an = an
+            else:
+                max_an = np.maximum(max_an, an)
+
+        x_energy = np.hypot(sum_e, sum_o) + PC_EPSILON
+        mean_e = sum_e / x_energy
+        mean_o = sum_o / x_energy
+        energy = np.zeros(img.shape)
+        for e, od in eo:
+            energy += e * mean_e + od * mean_o - np.abs(e * mean_o - od * mean_e)
+
+        # Rayleigh statistics of the noise response estimated at the
+        # smallest scale, extrapolated across the geometric filter series
+        total_tau = tau * (1 - (1 / PC_MULT) ** PC_SCALES) / (1 - 1 / PC_MULT)
+        noise_mean = total_tau * np.sqrt(np.pi / 2)
+        noise_sigma = total_tau * np.sqrt((4 - np.pi) / 2)
+        threshold = noise_mean + PC_NOISE_K * noise_sigma
+        energy = np.maximum(energy - threshold, 0.0)
+
+        width = (sum_an / (max_an + PC_EPSILON) - 1.0) / (PC_SCALES - 1)
+        weight = 1.0 / (1.0 + np.exp(PC_GAIN * (PC_CUT_OFF - width)))
+
+        numer = weight * energy
+        pc_by_orient[o] = numer / (sum_an + PC_EPSILON)
+        numer_total += numer
+        sum_an_total += sum_an
+
+    pc = np.clip(numer_total / (sum_an_total + PC_EPSILON), 0.0, 1.0)
+    angles = np.arange(PC_ORIENTATIONS) * np.pi / PC_ORIENTATIONS
+    cos_sum = np.tensordot(np.cos(2 * angles), pc_by_orient, axes=(0, 0))
+    sin_sum = np.tensordot(np.sin(2 * angles), pc_by_orient, axes=(0, 0))
+    ori = np.mod(0.5 * np.arctan2(sin_sum, cos_sum), np.pi)
+    return pc, ori
+
+
+def assert_maps_equal_full_frame(img):
+    got = phase_congruency_maps(img)
+    want = phase_congruency_full_frame(img)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == img.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@st.composite
+def pc_images(draw):
+    """Textured, constant or step-edge images, salted with +-0.0, over 1e+-8."""
+    rows, cols = draw(st.integers(2, 70)), draw(st.integers(2, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "smooth", "constant", "step"]))
+    if kind == "noise":
+        img = rng.standard_normal((rows, cols))
+    elif kind == "smooth":
+        img = gaussian_filter(rng.standard_normal((rows, cols)), 2.0)
+    elif kind == "constant":
+        img = np.full((rows, cols), rng.uniform(-5, 5))
+    else:
+        img = np.zeros((rows, cols))
+        if draw(st.booleans()):
+            img[:, int(rng.integers(0, cols)):] = 1.0
+        else:
+            img[int(rng.integers(0, rows)):, :] = 1.0
+    if draw(st.booleans()):
+        # magnitudes over sixteen decades
+        img = img * 10.0 ** rng.uniform(-8, 8, img.shape)
+    img = img * 10.0 ** draw(st.sampled_from([-8, 0, 8]))
+    salt = rng.random(img.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    img[salt] = rng.choice([0.0, -0.0], salt.sum())
+    return img
+
+
+def stereo_scene_images(seed):
+    """The optical image and SAR image in dB of a 200 x 200 m box city."""
+    rng = np.random.default_rng(seed)
+    buildings = tuple(
+        Building(rect=(x, y, x + w, y + d), height=float(h))
+        for (x, y), (w, d), h in zip(((20, 30), (110, 20), (40, 120), (130, 130)),
+                                     rng.integers(15, 45, (4, 2)), rng.uniform(8, 30, 4))
+    )
+    spec = SceneSpec(extent=(200.0, 200.0), buildings=buildings, texture_seed=seed)
+    dem, refl = make_scene(spec)
+    sar, opt, sar_shape, opt_shape = canonical_scene_models(spec, sar_theta_deg=35.0)
+    optical = render_optical(dem, refl, opt, RenderNoise(optical_sigma=0.02, seed=seed),
+                             opt_shape)
+    sar_img = render_sar(dem, refl, sar, RenderNoise(speckle_looks=4, seed=seed), sar_shape)
+    return optical.samples.astype(float), to_db(sar_img).samples.astype(float)
+
+
+class TestPhaseCongruencyBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(img=pc_images())
+    def test_maps_equal_full_frame(self, img):
+        assert_maps_equal_full_frame(img)
+
+    def test_stereo_scene_equals_full_frame(self):
+        for img in stereo_scene_images(61):
+            assert img.size > BILINEAR_BLOCK
+            assert_maps_equal_full_frame(img)
+
+    @pytest.mark.parametrize("cached, bound", [(True, 224), (False, 304)])
+    def test_peak_memory_per_pixel(self, cached, bound):
+        # the full-frame evaluation traces 352 B per pixel with the bank
+        # cached and 432 B when the call builds it
+        img = smooth_field(612, seed=4)[:600]
+        if cached:
+            phase_congruency_maps(img)
+        else:
+            similarity._log_gabor_bank.cache_clear()
+        tracemalloc.start()
+        try:
+            phase_congruency_maps(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / img.size <= bound
+
+    @pytest.mark.parametrize("image", [
+        np.ones(40), np.ones((40, 1)), np.ones((1, 40)), np.ones((0, 5)), np.ones((2, 1)),
+        np.ones((3, 3, 3)), np.where(np.eye(40) > 0, np.nan, 1.0),
+        np.where(np.eye(40) > 0, np.inf, 1.0), np.where(np.eye(40) > 0, -np.inf, 1.0),
+    ], ids=["1d", "40x1", "1x40", "0x5", "2x1", "3d", "nan", "inf", "-inf"])
+    def test_rejects_image_before_fft_and_bank(self, image, monkeypatch):
+        def no_fft(*args, **kwargs):
+            pytest.fail("the FFT ran on an image that phase congruency refuses")
+
+        before = similarity._log_gabor_bank.cache_info()
+        monkeypatch.setattr(np.fft, "fft2", no_fft)
+        with pytest.raises(ValueError, match="2-D, at least 2 x 2 and finite"):
+            phase_congruency_maps(image)
+        assert similarity._log_gabor_bank.cache_info() == before
+
+    def test_accepts_two_by_two(self):
+        pc, ori = phase_congruency_maps(np.array([[0.0, 1.0], [2.0, -3.0]]))
+        assert pc.shape == ori.shape == (2, 2)
+        assert np.isfinite(pc).all() and np.isfinite(ori).all()
 
 
 class TestHopc:
