@@ -132,6 +132,33 @@ def make_scene(spec: SceneSpec) -> tuple[Raster, Raster]:
     return dem_raster, refl_raster
 
 
+def _vertex_bound(z: np.ndarray, lo: np.ndarray, hi: np.ndarray, fill: float,
+                  slack: float) -> np.ndarray:
+    """Upper bound of the surface bilinear(z, r, c, fill) over boxes of cells.
+
+    lo and hi, (2, m), hold each box's least and greatest (row, col).  On
+    the box clipped to the grid the surface is bilinear on each piece that
+    the grid lines cut, and a bilinear function is largest at a corner of
+    a rectangle.  So when the clipped box holds at most one grid line per
+    axis, the surface's maximum over it lies at one of the 3 x 3 points
+    {lo, the line, hi} of the two axes, and a position off the grid
+    samples fill.  Such a box gets the largest sample at those points,
+    raised to at least fill, plus slack for rounding; any other box gets
+    inf.
+    """
+    last = np.array(z.shape)[:, None] - 1
+    lo, hi = np.clip(lo, 0, last), np.clip(hi, 0, last)
+    line = np.floor(lo) + 1  # the first grid line past lo
+    out = np.full(lo.shape[1], np.inf)
+    # the lines strictly inside (lo, hi) are line, ..., ceil(hi) - 1
+    few = np.flatnonzero(np.all(np.ceil(hi) - line <= 1, axis=0))
+    r, c = (np.stack([lo[k, few], np.minimum(line[k, few], hi[k, few]), hi[k, few]])
+            for k in (0, 1))
+    top = bilinear(z, r[:, None], c[None], fill).max(axis=(0, 1), initial=fill)
+    out[few] = top + slack
+    return out
+
+
 def render_optical(
     dem: Raster,
     reflectance: Raster,
@@ -142,28 +169,46 @@ def render_optical(
     """Ray-cast the scene through the central projection camera.
 
     For every pixel the viewing ray is intersected with the DEM surface by
-    marching downward in height and bisecting the first crossing, so marked
-    ground points project into the rendered image within a fraction of a
-    pixel.
+    marching downward over n_steps + 1 height levels and bisecting the
+    first crossing in 22 halvings, so marked ground points project into the
+    rendered image within a fraction of a pixel.
 
-    The DEM is sampled only where a crossing is possible.  Between h_top and
-    the ground a ray's cell position moves along a segment, and the computed
-    position at any height in between lies on it too, since every floating
-    point step from height to cell is monotone.  So each ray gets an upper
-    bound of the surface under it: the DEM maximum over the bilinear
-    corners of that segment's cell box, plus a rounding slack, taken from
-    one maximum filter of the DEM whose window is the widest box of the
-    frame (a ray with a NaN direction gets h_top).  A bilinear sample never
-    exceeds its largest corner, so at a height above its bound a ray is
-    above the surface; the march and the bisection skip the sample there
-    and take the "not below" branch it would have given.  The rays are
-    sorted once by falling bound, so each march height reads its candidates
-    from a prefix of that order, and the bisection steps work in
-    preallocated buffers.  Neither changes a sample or the order of any
-    arithmetic: the image is the one the full-frame march renders, bit for
-    bit.  SceneNotVisible is raised when the camera does not look down, or
-    when no downward ray's box overlaps the DEM.
+    The DEM is sampled only where a sample can change the outcome.  Between
+    h_top and the ground a ray's cell position moves along a segment, and
+    the computed position at any height in between lies on it too, since
+    every floating point step from height to cell is monotone.  So each ray
+    gets a float64 upper bound of the surface over that segment's cell box,
+    with a rounding slack: the DEM maximum over the box's bilinear corners,
+    from one maximum filter whose window is the frame's widest box (h_top
+    for a ray with a NaN direction).  Where this bound lies above the ray's
+    own sample at the ground level and the box, clipped to the grid, holds
+    at most one grid line per axis, the bound drops to the surface's
+    maximum at the 3 x 3 vertices of the box's bilinear pieces, since a
+    bilinear function is largest at a corner of a rectangle
+    (_vertex_bound).  The canonical nadir camera's rays sit on cell
+    centres, so this lowers an edge ray next to a roof from the roof's
+    height to about the ground's.
+
+    At a height above its bound a ray is above the surface, so a sample
+    there would give the "not below" branch, and none is taken.  The march
+    runs by ray: each ray starts at the first level at or below its bound,
+    and every ray not yet below the surface is sampled at its own level,
+    one level lower each round; at the last level, the ground, a ray reuses
+    its sample at the bottom of its segment.  A ray's bracket depends only
+    on its crossing level, so the path of a ray never found below the
+    surface (hi halves toward lo) is computed once per level.  A ray whose
+    bound lies below that path's last and least mid takes the path's
+    result; only the others run the 22 halvings, on compact arrays, and are
+    sampled where their bound reaches the mid.  Every sample still taken is
+    computed as in the full-frame march, and every one skipped would have
+    given the branch taken, so the image is the one the full-frame march
+    renders, bit for bit.  ValueError is raised unless shape is two
+    integers >= 1, and SceneNotVisible when the camera does not look down
+    or when no downward ray's box overlaps the DEM.
     """
+    if not (np.shape(shape) == (2,)
+            and all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape)):
+        raise ValueError(f"frame shape must be two integers >= 1, got {shape!r}")
     grid = GroundGrid.from_raster(dem)
     z = dem.samples
     ground = float(z.min())
@@ -174,6 +219,7 @@ def render_optical(
     rr, cc = np.meshgrid(np.arange(rows, dtype=float),
                          np.arange(cols, dtype=float), indexing="ij")
     w = opt_ray(model, rr, cc).reshape(n_rays, 3)
+    del rr, cc
     if not np.any(w[:, 2] < 0):
         raise SceneNotVisible("camera does not look downward")
 
@@ -188,9 +234,11 @@ def render_optical(
     # corner it can touch between h_top and the ground
     every = slice(None)
     top, bottom = np.array(cell_at(every, h_top)), np.array(cell_at(every, ground))
+    floor_sample = bilinear(z, *bottom, ground)  # the sample at the ground level
     finite = np.isfinite(top).all(axis=0)
     lo_pos = np.where(finite, np.minimum(top, bottom), 0.0)
     hi_pos = np.where(finite, np.maximum(top, bottom), 0.0)
+    del top, bottom
     cells = np.array(z.shape)[:, None]
     first = np.clip(np.floor(lo_pos), 0, np.maximum(cells - 2, 0))
     last = np.clip(np.floor(hi_pos) + 1, first, cells - 1)
@@ -199,51 +247,58 @@ def render_optical(
         raise SceneNotVisible("no downward ray of the frame crosses the DEM")
     # the window [first, first + size) holds every ray's box
     size = tuple(int(s) + 1 for s in (last - first).max(axis=1))
+    del last
     box_max = maximum_filter(z, size=size, mode="nearest",
                              origin=tuple(-(s // 2) for s in size))
-    # a bilinear sample may exceed its largest corner by a few ulps
+    # a bilinear sample may exceed its largest corner by a few ulps; the
+    # bound is float64, where the slack is not rounded away
     slack = 1e-12 * (1.0 + float(np.abs(z).max()))
-    bound = np.where(finite, box_max[tuple(first.astype(int))] + slack, h_top)
+    bound = np.where(finite, box_max[tuple(first.astype(int))] + np.float64(slack), h_top)
+    del first
+    near = np.flatnonzero(finite & (bound > floor_sample + slack))
+    bound[near] = np.minimum(bound[near], _vertex_bound(z, lo_pos[:, near], hi_pos[:, near],
+                                                        ground, slack))
+    del lo_pos, hi_pos
 
     n_steps = max(2, min(160, int(np.ceil((h_top - ground) / (grid.step / 2)))))
     heights = np.linspace(h_top, ground, n_steps + 1)
-    hit_hi = np.full(n_rays, ground)
-    hit_lo = np.full(n_rays, ground)
-    # the rays whose bound reaches a height are a prefix of the rays by
-    # falling bound (a NaN bound, never reached, sorts last)
-    by_bound = np.argsort(-bound, kind="stable")
-    neg_bound = -bound[by_bound]
-    undecided = np.ones(n_rays, dtype=bool)  # in by_bound order
-    n_undecided = n_rays
-    prev_h = heights[0]
-    for h in heights:
-        if not n_undecided:
-            break
-        reach = np.searchsorted(neg_bound, -h, side="right")  # bound >= h
-        pos = np.flatnonzero(undecided[:reach])
-        idx = by_bound[pos]
-        hit = surface_at(idx, h) >= h
-        crossed = idx[hit]
-        hit_hi[crossed] = prev_h
-        hit_lo[crossed] = h
-        undecided[pos[hit]] = False
-        n_undecided -= crossed.size
-        prev_h = h
-    # bisect the crossing height; rays that never crossed sit on the ground
-    lo, hi = hit_lo, hit_hi
-    mid = np.empty(n_rays)
-    flag = np.empty(n_rays, dtype=bool)
-    below = np.empty(n_rays, dtype=bool)
-    for _ in range(22):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        idx = np.flatnonzero(np.greater_equal(bound, mid, out=flag))
+    # each ray starts at the first level at or below its bound
+    level = np.searchsorted(-heights, -bound).astype(np.uint8)
+    march = np.flatnonzero(level < n_steps)
+    while march.size:
+        h = heights[level[march]]
+        march = march[~(surface_at(march, h) >= h)]
+        level[march] += 1
+        march = march[level[march] < n_steps]
+    # at the ground level, the last, a ray's sample is its floor sample;
+    # level n_steps + 1 marks a ray that never crossed
+    level[(level == n_steps) & ~(floor_sample >= ground)] = n_steps + 1
+
+    # a ray's bracket depends only on its crossing level: (ground, ground)
+    # for a ray that never crossed
+    lo_at = np.append(heights, ground)
+    hi_at = np.concatenate([heights[:1], heights[:-1], [ground]])
+    halvings = 22
+    # a ray never found below the surface halves hi toward lo; mid_at ends
+    # at the last and least mid of that path
+    mid_at = hi_at
+    for _ in range(halvings):
+        mid_at = (lo_at + mid_at) * 0.5
+    height = (0.5 * (lo_at + mid_at))[level]
+    # a ray whose bound lies below that last mid is never sampled
+    decide = np.flatnonzero(bound >= mid_at[level])
+    lo, hi = lo_at[level[decide]], hi_at[level[decide]]
+    bound = bound[decide]
+    for _ in range(halvings):
+        mid = (lo + hi) * 0.5
+        idx = np.flatnonzero(bound >= mid)
         at = mid[idx]
-        below.fill(False)
-        below[idx] = surface_at(idx, at) >= at
-        np.copyto(lo, mid, where=below)
-        np.copyto(hi, mid, where=np.logical_not(below, out=flag))
-    p = ray_at_height(model.pc, w, 0.5 * (lo + hi))
+        below = np.zeros(decide.size, dtype=bool)
+        below[idx] = surface_at(decide[idx], at) >= at
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    height[decide] = 0.5 * (lo + hi)
+    p = ray_at_height(model.pc, w, height)
     img = bilinear(reflectance.samples, *grid.cell_of(p[:, 0], p[:, 1]),
                    float(reflectance.samples.mean())).reshape(shape)
     if noise.optical_sigma > 0:
@@ -413,8 +468,11 @@ def canonical_scene_models(
     (east) edge, plus MARGIN_PX columns.  The optical camera is nadir at
     height OPT_HEIGHT above the scene center with kappa = pi, which makes
     image rows/cols increase with ground y/x at 1 pixel per GSD.  Returned
-    shapes are (rows, cols) for the SAR and optical rasters.
+    shapes are (rows, cols) for the SAR and optical rasters.  ValueError is
+    raised unless 0 < sar_theta_deg < 90, which a NaN fails.
     """
+    if not 0.0 < sar_theta_deg < 90.0:
+        raise ValueError(f"sar_theta_deg must lie in (0, 90), got {sar_theta_deg!r}")
     ex, ey = spec.extent
     g = spec.gsd
     h0 = spec.ground_height

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sarstereo import scene_sim
@@ -38,6 +38,7 @@ from sarstereo.scene_sim import (
     _blocked,
     _shadow_mask,
     _track_samples,
+    _vertex_bound,
     canonical_scene_models,
     ground_truth_correspondences,
     make_scene,
@@ -131,26 +132,48 @@ def _render_optical_oracle(dem, reflectance, model, shape):
     return img.astype(np.float32)
 
 
+def _view_scene(gsd, ground, texture_seed, tall, mid, low):
+    """The box city of optical_views: one building over 80 m, so the
+    march's 160-step cap applies."""
+    return SceneSpec(
+        extent=(40.0, 30.0), gsd=gsd, ground_height=ground, texture_seed=texture_seed,
+        buildings=(Building((4, 4, 14, 12), tall), Building((20, 6, 34, 16), mid),
+                   Building((8, 18, 26, 28), low)),
+    )
+
+
+def _canonical_view(gsd, ground):
+    """The view of optical_views' scene by canonical_scene_models' camera."""
+    spec = _view_scene(gsd, ground, 3, 96.0, 41.0, 12.0)
+    _, opt, _, opt_shape = canonical_scene_models(spec)
+    return spec, opt, opt_shape
+
+
 @st.composite
 def optical_views(draw):
-    """A box-city scene with a drawn ground height, one building over 80 m
-    (so the march's 160-step cap applies) and a camera 300 m to 700 km up,
-    turned by any phi, omega in +-0.5 rad and any kappa, whose principal ray
-    meets the ground up to half the extent past the DEM's edge."""
+    """A box-city scene with a drawn ground height and a camera 300 m to
+    700 km up, turned by any phi, omega in +-0.5 rad and any kappa, whose
+    principal ray meets the ground up to half the extent past the DEM's
+    edge.  Some cameras are grid-aligned and nadir: phi = omega = 0, kappa
+    a multiple of pi/2, 1 px per gsd and the principal ray on a cell
+    corner, so every ray meets the ground on a cell centre and its box ends
+    on a grid line."""
     gsd = draw(st.sampled_from([0.5, 1.0, 2.0]))
     ground = draw(st.floats(-40.0, 40.0).filter(lambda g: abs(g) > 1e-3))
     tall, mid, low = (draw(st.floats(lo, hi)) for lo, hi in
                       ((80.5, 120.0), (0.5, 80.0), (0.5, 30.0)))
-    spec = SceneSpec(
-        extent=(40.0, 30.0), gsd=gsd, ground_height=ground,
-        texture_seed=draw(st.integers(0, 99)),
-        buildings=(Building((4, 4, 14, 12), tall), Building((20, 6, 34, 16), mid),
-                   Building((8, 18, 26, 28), low)),
-    )
+    spec = _view_scene(gsd, ground, draw(st.integers(0, 99)), tall, mid, low)
     height = ground + draw(st.floats(300.0, 700e3))
-    phi, omega = (draw(st.floats(-0.5, 0.5)) for _ in range(2))
-    kappa = draw(st.floats(0.0, 2 * np.pi))
-    target = np.array([draw(st.floats(-20.0, 60.0)), draw(st.floats(-15.0, 45.0)), ground])
+    if draw(st.booleans()):
+        phi = omega = 0.0
+        kappa = draw(st.integers(0, 3)) * np.pi / 2
+        target = np.array([draw(st.integers(int(-20 / gsd), int(60 / gsd))) * gsd,
+                           draw(st.integers(int(-15 / gsd), int(45 / gsd))) * gsd, ground])
+    else:
+        phi, omega = (draw(st.floats(-0.5, 0.5)) for _ in range(2))
+        kappa = draw(st.floats(0.0, 2 * np.pi))
+        target = np.array([draw(st.floats(-20.0, 60.0)), draw(st.floats(-15.0, 45.0)),
+                           ground])
     cam = OpticalSensorModel(pc=(0.0, 0.0, height), phi=phi, omega=omega, kappa=kappa,
                              focal=(height - ground) / gsd, principal_row=7.5,
                              principal_col=9.5)
@@ -159,9 +182,34 @@ def optical_views(draw):
     return spec, dataclasses.replace(cam, pc=pc), (16, 20)
 
 
+@st.composite
+def vertex_boxes(draw):
+    """A small DEM (flat, spiked or drawn, heights of either sign, one row or
+    one column among them), a fill, and a cell box holding at most one grid
+    line per axis, which may end on a grid line or reach past the grid."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    height = st.floats(-50.0, 50.0)
+    kind = draw(st.sampled_from(["flat", "spike", "drawn"]))
+    z = np.full((rows, cols), draw(height))
+    if kind == "spike":
+        z[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = draw(height)
+    elif kind == "drawn":
+        z = np.array([[draw(height) for _ in range(cols)] for _ in range(rows)])
+    lo, hi = [], []
+    for n in (rows, cols):
+        a = draw(st.one_of(st.integers(-2, n + 1).map(float), st.floats(-2.0, n + 1.0)))
+        end = np.floor(a) + 2  # (a, end) holds the one grid line floor(a) + 1
+        u = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        lo.append(a)
+        hi.append(min(a + u * (end - a), end))
+    return z.astype(np.float32), draw(height), np.array(lo), np.array(hi)
+
+
 class TestRenderOptical:
     @settings(max_examples=60, deadline=None)
     @given(optical_views())
+    @example(_canonical_view(1.0, 5.0))
+    @example(_canonical_view(2.0, -12.5))
     def test_equals_full_frame_march(self, view):
         spec, cam, shape = view
         dem, refl = make_scene(spec)
@@ -191,6 +239,79 @@ class TestRenderOptical:
         render_optical(dem, refl, opt, RenderNoise(), opt_shape)
         # the full-frame march samples 161 heights plus 22 bisection steps
         assert sum(dem_elements) < 5 * opt_shape[0] * opt_shape[1]
+
+    def test_samples_dem_in_few_calls(self, monkeypatch):
+        # the level-by-level march made 160 calls on this scene
+        spec = SceneSpec(extent=(200.0, 160.0), texture_seed=4,
+                         buildings=(Building((20, 30, 48, 58), 68.0),
+                                    Building((120, 90, 145, 110), 25.0)))
+        dem, refl = make_scene(spec)
+        _, opt, _, opt_shape = canonical_scene_models(spec)
+        calls = []
+
+        def counting(samples, r, c, fill):
+            if samples is dem.samples:
+                calls.append(np.size(r))
+            return bilinear(samples, r, c, fill)
+
+        monkeypatch.setattr(scene_sim, "bilinear", counting)
+        render_optical(dem, refl, opt, RenderNoise(), opt_shape)
+        assert len(calls) <= 40
+
+    def test_peak_memory_per_ray(self):
+        # the level-by-level march held about 250 bytes per ray at once
+        spec = SceneSpec(extent=(600.0, 600.0), texture_seed=5,
+                         buildings=(Building((180, 180, 270, 360), 68.0),
+                                    Building((360, 300, 480, 420), 25.0)))
+        dem, refl = make_scene(spec)
+        _, opt, _, opt_shape = canonical_scene_models(spec)
+        noise = RenderNoise(optical_sigma=2.0, seed=1)
+        tracemalloc.start()
+        try:
+            render_optical(dem, refl, opt, noise, opt_shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_ray = peak / (opt_shape[0] * opt_shape[1])
+        assert per_ray <= 160, f"peak {per_ray:.0f} B per ray"
+
+    @pytest.mark.parametrize("shape", [(0, 20), (16, 0), (-3, 4), (16.0, 20.0), (16,),
+                                       (16, 20, 1), 16])
+    def test_rejects_frame_shape_that_is_not_two_positive_integers(self, shape,
+                                                                   monkeypatch):
+        spec = SceneSpec(extent=(40.0, 30.0))
+        dem, refl = make_scene(spec)
+        _, opt, _, _ = canonical_scene_models(spec)
+
+        def no_rays(*args):
+            raise AssertionError("a ray was built")
+
+        monkeypatch.setattr(scene_sim, "opt_ray", no_rays)
+        with pytest.raises(ValueError, match="frame shape"):
+            render_optical(dem, refl, opt, RenderNoise(), shape)
+
+    def test_accepts_numpy_integer_shape(self):
+        spec = SceneSpec(extent=(40.0, 30.0), texture_seed=1)
+        dem, refl = make_scene(spec)
+        _, opt, _, (rows, cols) = canonical_scene_models(spec)
+        a = render_optical(dem, refl, opt, RenderNoise(), (rows, cols))
+        b = render_optical(dem, refl, opt, RenderNoise(), (np.int64(rows), np.int32(cols)))
+        assert a.samples.tobytes() == b.samples.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(vertex_boxes(), st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                                    min_size=1, max_size=8))
+    def test_vertex_bound_holds_every_sample_in_the_box(self, box, fractions):
+        z, fill, lo, hi = box
+        slack = 1e-12 * (1.0 + float(np.abs(z).max()))
+        bound = _vertex_bound(z, lo[:, None], hi[:, None], fill, slack)
+        assert bound.shape == (1,) and np.isfinite(bound[0])
+        # drawn positions, and every grid line inside the box
+        pos = [np.minimum(lo + np.array(f) * (hi - lo), hi) for f in fractions]
+        pos += [np.clip(np.floor(lo) + 1, lo, hi)]
+        r, c = np.array(pos).T
+        samples = bilinear(z, r[:, None], c[None, :], fill)
+        assert samples.max() <= bound[0]
 
     @pytest.mark.parametrize("camera", ["off_scene", "looking_up"])
     def test_scene_not_visible(self, camera):
@@ -470,6 +591,11 @@ class TestRenderSar:
         for p in (edge, GroundPoint(50.5, 0.5, 0.0), GroundPoint(13.2, 41.7, 0.0)):
             sar_row = sar.pixel_from_obs(sar_forward(sar, p)).row
             assert sar_row == pytest.approx(opt_forward(opt, p).row, abs=1e-9)
+
+    @pytest.mark.parametrize("theta", [0.0, 90.0, float("nan"), -10.0, 120.0, float("inf")])
+    def test_canonical_models_reject_incidence_outside_0_to_90(self, theta):
+        with pytest.raises(ValueError, match="sar_theta_deg"):
+            canonical_scene_models(SceneSpec(extent=(50, 50)), sar_theta_deg=theta)
 
     def test_scene_outside_swath(self):
         spec = SceneSpec(extent=(50, 50))
