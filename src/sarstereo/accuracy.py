@@ -10,23 +10,30 @@ SAR sensor.  The construction places the nominal target at (x, z) = (0, h):
     z  = k (x - Xo) + Zo   with   k = -/+ cot(alpha)
     (Xs - x)^2 + (Zs - z)^2 = R^2
 
-Implicit differentiation of the combined equation gives the height
-sensitivities to the two measurements:
+Both curves pass through the target by construction, so no intersection
+is solved for.  Implicit differentiation of the two equations at the target
+gives the height sensitivities to the two measurements in closed form:
 
-    dh/dR     = - R k / ((Xs - x) + k (Zs - z))
-    dh/dalpha = - (Xs - x)(Zo - z) / ((Xs - x) + k (Zs - z)) * (1/k) dk/dalpha
+    dh/dR     = - cos(alpha) / c
+    dh/dalpha = +/- (Ho - h) sin(theta) / (cos(alpha) c)   (+ same-side)
 
-with dk/dalpha = +/- 1 / sin(alpha)^2 following the sign of k.  The
-normalized height accuracy is then
+with c = cos(theta - alpha) on the same side and c = cos(theta + alpha) on
+the opposite side.  The normalized height accuracy is then
 
     sigma_h / sigma_0 = sqrt( (dh/dR)^2 + (dh/dalpha * f)^2 )
 
 for range noise sigma_R = sigma_0 and angular noise sigma_alpha = f * sigma_0
 (f is sigma_alpha_factor, 1e-6 rad per meter by default).  The ratio is
-independent of sigma_0, which is therefore no input.
+independent of sigma_0, which is therefore no input.  It depends on theta,
+alpha and Ho - h but not on Hs: the SAR platform height only scales the
+circle, whose tangent at the target is set by theta alone.
 
-Configurations where the ray grazes the circle (opposite-side
-theta + alpha = 90 deg) have no usable intersection and raise GlancingOrMiss.
+The ray cannot miss the circle, but it can graze it: where |c| < 1e-5
+(opposite-side theta + alpha or same-side theta - alpha near 90 deg) the
+configuration raises GlancingOrMiss.  The ray's half-chord inside the
+circle is R |c|, so this is the test for a half-chord below 1e-5 R, the
+point where a numerical intersection of ray and circle can no longer tell
+a crossing from a tangency once the sensor offsets reach megameters.
 
 One broadcast path serves the grid and the scalar API: ``accuracy_grid``
 evaluates its whole (theta, alpha) mesh at once, and the scalar functions
@@ -46,7 +53,7 @@ SINGULAR_RATIO = 10.0  # grid cells above this ratio are flagged
 
 
 class GlancingOrMiss(Exception):
-    """Projection ray tangent to or missing the range-Doppler circle."""
+    """Projection ray grazing the range-Doppler circle at the target."""
 
 
 @dataclass(frozen=True)
@@ -78,14 +85,17 @@ class StereoConfig:
             raise ValueError("alpha is signed only in same_side mode")
         if not (self.hs > self.h and self.ho > self.h):
             raise ValueError("platform heights must exceed the target height")
+        if not 0.0 <= self.sigma_alpha_factor < np.inf:
+            raise ValueError("sigma_alpha_factor must be finite and >= 0")
 
     def scene(self) -> tuple[float, float, float, float, float, float]:
         """(Xs, Zs, Xo, Zo, k, R) of the in-plane construction."""
         return _scene(self.mode, self.theta, self.alpha, self.hs, self.ho, self.h)
 
 
-# below this |alpha|, sin(alpha)^2 underflows the normal floats and
-# dk/dalpha = 1 / sin(alpha)^2 overflows, so the accuracy is NaN or infinite
+# alpha = 0 puts the optical sensor straight above the target, with no
+# viewing side; below this |alpha|, where sin(alpha)^2 underflows the normal
+# floats, the ray slope cot(alpha) exceeds 1e153 and is treated the same
 _ALPHA_MIN = float(np.sqrt(np.finfo(float).tiny))
 
 
@@ -104,82 +114,42 @@ def _scene(mode, theta, alpha, hs, ho, h):
     return xs, hs, xo, ho, k, r
 
 
-def _solve_ray_circle(xs, zs, xo, zo, k, r, z_ref, z_cap):
-    """Intersect the line z = k (x - xo) + zo with the circle around (xs, zs).
+def _partials(mode, theta, alpha, ho, h):
+    """(dh/dR, dh/dalpha, graze) at the target, broadcast over the inputs.
 
-    Returns (x, z, miss): the root with z <= z_cap nearest (0, z_ref), and
-    whether the ray misses or grazes the circle (x, z are then the foot of
-    the perpendicular from the center).  Written to be numerically stable at
-    megameter scale and to broadcast over arrays.
+    graze marks a ray that meets the circle within 1e-5 of tangency,
+    |c| < 1e-5; callers reject or flag it, and the cells without a viewing
+    side (_degenerate_alpha) as well.  Heights near the float range
+    overflow to inf, so the warnings are silenced.
     """
-    xs, zs, xo, zo, k, r = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (xs, zs, xo, zo, k, r))
-    )
-    norm = np.hypot(1.0, k)
-    sgn = -np.sign(xo)
-    dx = sgn / norm
-    dz = sgn * k / norm
-    px, pz = xo - xs, zo - zs
-    # ray parameter of the perpendicular foot and the center's distance to
-    # the line; this form stays accurate when the sensor is megameters from
-    # a circle only kilometers across
-    tm = -(px * dx + pz * dz)
-    fx = px + tm * dx
-    fz = pz + tm * dz
-    d_perp = np.hypot(fx, fz)
-    half2 = (r - d_perp) * (r + d_perp)
-    # a half-chord below 1e-5 r is indistinguishable from tangency at double
-    # precision once the sensor offsets reach megameters
-    miss = half2 < (1e-5 * r) ** 2
-    s = np.sqrt(np.where(miss, 0.0, half2))
-    cand = np.stack([tm - s, tm + s])
-    x_cand = xo + cand * dx
-    z_cand = zo + cand * dz
-    d_cand = np.hypot(x_cand - 0.0, z_cand - z_ref)
-    d_cand = np.where(z_cand <= z_cap, d_cand, np.inf)
-    pick = np.argmin(d_cand, axis=0)
-    x = np.take_along_axis(x_cand, pick[None], axis=0)[0]
-    z = np.take_along_axis(z_cand, pick[None], axis=0)[0]
-    return x, z, miss
-
-
-def _partials(mode, theta, alpha, hs, ho, h):
-    """(x, z, dh/dR, dh/dalpha, miss) of the construction, broadcast.
-
-    miss marks a ray that misses the circle or meets it at a tangent,
-    |den| < 1e-9 R.  Misses and cells without a viewing side (_degenerate_alpha)
-    divide by zero or overflow; callers reject or flag both, so the
-    warnings are silenced.
-    """
+    sign = -1.0 if mode == OPPOSITE else 1.0
     with np.errstate(all="ignore"):
-        xs, zs, xo, zo, k, r = _scene(mode, theta, alpha, hs, ho, h)
-        x, z, miss = _solve_ray_circle(xs, zs, xo, zo, k, r, h, np.minimum(hs, ho))
-        den = (xs - x) + k * (zs - z)
-        miss = miss | (np.abs(den) < 1e-9 * r)
-        dh_dr = -r * k / den
-        # np.square, not ** 2: a NumPy scalar's ** 2 calls pow(), which can
-        # differ by an ulp from the array path's x * x
-        dk_dalpha = (1.0 if mode == OPPOSITE else -1.0) / np.square(np.sin(alpha))
-        dh_dalpha = -((xs - x) * (zo - z) / den) * (1.0 / k) * dk_dalpha
-    return x, z, dh_dr, dh_dalpha, miss
-
-
-def _cell(cfg: StereoConfig) -> tuple[float, float, float, float]:
-    """(x, z, dh/dR, dh/dalpha) of one configuration; raises on a miss."""
-    *values, miss = _partials(cfg.mode, cfg.theta, cfg.alpha, cfg.hs, cfg.ho, cfg.h)
-    if miss:
-        raise GlancingOrMiss("projection ray misses or grazes the range circle")
-    return tuple(float(v) for v in values)
-
-
-def intersection_point(cfg: StereoConfig) -> tuple[float, float]:
-    """Solve the in-plane intersection; by construction this is (0, h)."""
-    return _cell(cfg)[:2]
+        c = np.cos(theta - sign * alpha)
+        cos_alpha = np.cos(alpha)
+        dh_dr = -cos_alpha / c
+        dh_dalpha = sign * (ho - h) * np.sin(theta) / (cos_alpha * c)
+    return dh_dr, dh_dalpha, np.abs(c) < 1e-5
 
 
 def height_partials(cfg: StereoConfig) -> tuple[float, float]:
-    """(dh/dR, dh/dalpha) at the intersection, dh/dalpha in meters/radian."""
-    return _cell(cfg)[2:]
+    """(dh/dR, dh/dalpha) at the target, dh/dalpha in meters/radian.
+
+    Raises GlancingOrMiss where the ray grazes the range circle.
+    """
+    dh_dr, dh_dalpha, graze = _partials(cfg.mode, cfg.theta, cfg.alpha, cfg.ho, cfg.h)
+    if graze:
+        raise GlancingOrMiss("projection ray grazes the range circle")
+    return float(dh_dr), float(dh_dalpha)
+
+
+def intersection_point(cfg: StereoConfig) -> tuple[float, float]:
+    """The in-plane intersection, which by construction is the target (0, h).
+
+    Raises GlancingOrMiss where the ray grazes the range circle, which then
+    does not single the target out.
+    """
+    height_partials(cfg)
+    return 0.0, float(cfg.h)
 
 
 def normalized_height_accuracy(cfg: StereoConfig) -> float:
@@ -195,8 +165,9 @@ class AccuracyGrid:
     mode: str
     theta_deg: np.ndarray
     alpha_deg: np.ndarray
-    sigma_ratio: np.ndarray  # (n_theta, n_alpha); NaN where no intersection
-    flags: np.ndarray  # bool; ratio > SINGULAR_RATIO or no intersection
+    sigma_ratio: np.ndarray  # (n_theta, n_alpha); NaN where the ray grazes
+    # or alpha has no viewing side
+    flags: np.ndarray  # bool; ratio > SINGULAR_RATIO or NaN
     n_theta: int = field(init=False)
     n_alpha: int = field(init=False)
 
@@ -217,14 +188,20 @@ def accuracy_grid(
 ) -> AccuracyGrid:
     """Evaluate the accuracy model over a (theta, alpha) grid in degrees.
 
-    Invalid input raises ValueError.  NaN, flagged cells: no intersection,
-    alpha = 0 or so small that sin(alpha)^2 underflows, and negative alpha in
-    opposite_side mode; StereoConfig rejects the same alphas.
+    Invalid input raises ValueError; steps are two integers >= 1.  NaN,
+    flagged cells: a ray grazing the range circle, alpha = 0 or so small
+    that sin(alpha)^2 underflows, and negative alpha in opposite_side mode;
+    StereoConfig rejects the same alphas.
     """
     if not all(0.0 < t < 90.0 for t in theta_range_deg):
         raise ValueError("theta range must lie within (0, 90) degrees")
     if not all(-90.0 < a < 90.0 for a in alpha_range_deg):
         raise ValueError("alpha range must lie within (-90, 90) degrees")
+    if not (len(steps) == 2 and all(
+        isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+        for n in steps
+    )):
+        raise ValueError(f"steps must be two integers >= 1, got {steps!r}")
     # a configuration with a valid alpha checks every other input, so the
     # cells below need only their alpha tested for a viewing side
     StereoConfig(mode, np.deg2rad(theta_range_deg[0]), np.deg2rad(45.0), hs, ho,
@@ -232,10 +209,10 @@ def accuracy_grid(
     thetas = np.linspace(*theta_range_deg, steps[0])
     alphas = np.linspace(*alpha_range_deg, steps[1])
     theta, alpha = np.meshgrid(np.deg2rad(thetas), np.deg2rad(alphas), indexing="ij")
-    _, _, dh_dr, dh_dalpha, miss = _partials(mode, theta, alpha, hs, ho, h)
+    dh_dr, dh_dalpha, graze = _partials(mode, theta, alpha, ho, h)
     no_side = _degenerate_alpha(alpha) | ((mode == OPPOSITE) & (alpha < 0.0))
     ratio = np.where(
-        miss | no_side, np.nan, np.hypot(dh_dr, dh_dalpha * sigma_alpha_factor)
+        graze | no_side, np.nan, np.hypot(dh_dr, dh_dalpha * sigma_alpha_factor)
     )
     flags = np.isnan(ratio) | (ratio > SINGULAR_RATIO)
     return AccuracyGrid(

@@ -243,8 +243,10 @@ def sar_forward_array(model: SarSensorModel, p) -> tuple[np.ndarray, np.ndarray]
     x, y, h = _xyz(np.asarray(p, dtype=float))
     (sx, sy, sz), (vx, vy, vz) = model.s0, model.v
     dt = (vx * (x - sx) + vy * (y - sy) + vz * (h - sz)) / (model.v @ model.v)
-    r = np.sqrt((x - (sx + vx * dt)) ** 2 + (y - (sy + vy * dt)) ** 2
-                + (h - (sz + vz * dt)) ** 2)
+    # products, not ** 2: a numpy scalar's ** 2 calls pow(), which can differ
+    # by an ulp from the array path's x * x
+    ex, ey, eh = x - (sx + vx * dt), y - (sy + vy * dt), h - (sz + vz * dt)
+    r = np.sqrt(ex * ex + ey * ey + eh * eh)
     return model.t0 + dt, r
 
 

@@ -12,6 +12,7 @@ multimodal problem while the geometry stays exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +62,12 @@ class Building:
 
     def __post_init__(self):
         x0, y0, x1, y1 = self.rect
+        if not all(map(math.isfinite, self.rect)):
+            raise ValueError(f"building footprint {self.rect} is not finite")
         if not (x1 > x0 and y1 > y0):
             raise ValueError("degenerate building footprint")
-        if not self.height > 0:
-            raise ValueError("building height must be > 0")
+        if not 0 < self.height < math.inf:
+            raise ValueError("building height must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -78,8 +81,12 @@ class SceneSpec:
 
     def __post_init__(self):
         ex, ey = self.extent
-        if not (ex > 0 and ey > 0 and self.gsd > 0):
-            raise ValueError("extent and gsd must be positive")
+        if not (0 < ex < math.inf and 0 < ey < math.inf and 0 < self.gsd < math.inf):
+            raise ValueError("extent and gsd must be finite and positive")
+        if not (math.isfinite(self.ground_height) and math.isfinite(self.texture_contrast)):
+            raise ValueError("ground_height and texture_contrast must be finite")
+        if min(self.shape) < 1:
+            raise ValueError(f"extent {self.extent} at gsd {self.gsd} has no grid cell")
         for b in self.buildings:
             x0, y0, x1, y1 = b.rect
             if not (0 <= x0 and x1 <= ex and 0 <= y0 and y1 <= ey):

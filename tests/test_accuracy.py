@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sarstereo import accuracy
 from sarstereo.accuracy import (
     OPPOSITE,
     SAME,
@@ -12,7 +13,8 @@ from sarstereo.accuracy import (
     AccuracyGrid,
     GlancingOrMiss,
     StereoConfig,
-    _solve_ray_circle,
+    _degenerate_alpha,
+    _scene,
     accuracy_grid,
     height_partials,
     intersection_point,
@@ -21,12 +23,89 @@ from sarstereo.accuracy import (
 
 D2R = np.pi / 180.0
 
+# the accuracy grids of perfbench/ops.py (GRID_THETAS, GRID_ALPHA, GRID_STEPS),
+# swept in both modes
+BENCH_THETAS = ((20.0, 39.6), (40.4, 60.0))
+BENCH_ALPHA = (5.0, 45.0)
+BENCH_STEPS = (24, 50)
+
 
 def cfg_of(mode, theta_deg, alpha_deg, hs, ho, h=0.0, **kw):
     return StereoConfig(
         mode=mode, theta=theta_deg * D2R, alpha=alpha_deg * D2R,
         hs=hs, ho=ho, h=h, **kw,
     )
+
+
+def _solve_ray_circle(xs, zs, xo, zo, k, r, z_ref, z_cap):
+    """Intersect the line z = k (x - xo) + zo with the circle around (xs, zs).
+
+    Returns (x, z, miss): the root with z <= z_cap nearest (0, z_ref), and
+    whether the ray misses or grazes the circle (x, z are then the foot of
+    the perpendicular from the center).  Written to be numerically stable at
+    megameter scale and to broadcast over arrays.
+    """
+    xs, zs, xo, zo, k, r = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (xs, zs, xo, zo, k, r))
+    )
+    norm = np.hypot(1.0, k)
+    sgn = -np.sign(xo)
+    dx = sgn / norm
+    dz = sgn * k / norm
+    px, pz = xo - xs, zo - zs
+    # ray parameter of the perpendicular foot and the center's distance to
+    # the line; this form stays accurate when the sensor is megameters from
+    # a circle only kilometers across
+    tm = -(px * dx + pz * dz)
+    fx = px + tm * dx
+    fz = pz + tm * dz
+    d_perp = np.hypot(fx, fz)
+    half2 = (r - d_perp) * (r + d_perp)
+    # a half-chord below 1e-5 r is indistinguishable from tangency at double
+    # precision once the sensor offsets reach megameters
+    miss = half2 < (1e-5 * r) ** 2
+    s = np.sqrt(np.where(miss, 0.0, half2))
+    cand = np.stack([tm - s, tm + s])
+    x_cand = xo + cand * dx
+    z_cand = zo + cand * dz
+    d_cand = np.hypot(x_cand - 0.0, z_cand - z_ref)
+    d_cand = np.where(z_cand <= z_cap, d_cand, np.inf)
+    pick = np.argmin(d_cand, axis=0)
+    x = np.take_along_axis(x_cand, pick[None], axis=0)[0]
+    z = np.take_along_axis(z_cand, pick[None], axis=0)[0]
+    return x, z, miss
+
+
+def oracle_partials(mode, theta, alpha, hs, ho, h):
+    """(dh/dR, dh/dalpha, miss) without the closed form, broadcast.
+
+    Intersects ray and circle numerically, then differentiates the two
+    equations implicitly at the root found; miss also marks a tangent,
+    |den| < 1e-9 R.
+    """
+    with np.errstate(all="ignore"):
+        xs, zs, xo, zo, k, r = _scene(mode, theta, alpha, hs, ho, h)
+        x, z, miss = _solve_ray_circle(xs, zs, xo, zo, k, r, h, np.minimum(hs, ho))
+        den = (xs - x) + k * (zs - z)
+        miss = miss | (np.abs(den) < 1e-9 * r)
+        dh_dr = -r * k / den
+        dk_dalpha = (1.0 if mode == OPPOSITE else -1.0) / np.square(np.sin(alpha))
+        dh_dalpha = -((xs - x) * (zo - z) / den) * (1.0 / k) * dk_dalpha
+    return dh_dr, dh_dalpha, miss
+
+
+def oracle_grid(mode, theta_range_deg, alpha_range_deg, steps, hs, ho, h=0.0,
+                sigma_alpha_factor=1e-6):
+    """(sigma_ratio, flags) of accuracy_grid's mesh from oracle_partials."""
+    thetas = np.linspace(*theta_range_deg, steps[0])
+    alphas = np.linspace(*alpha_range_deg, steps[1])
+    theta, alpha = np.meshgrid(np.deg2rad(thetas), np.deg2rad(alphas), indexing="ij")
+    dh_dr, dh_dalpha, miss = oracle_partials(mode, theta, alpha, hs, ho, h)
+    no_side = _degenerate_alpha(alpha) | ((mode == OPPOSITE) & (alpha < 0.0))
+    ratio = np.where(
+        miss | no_side, np.nan, np.hypot(dh_dr, dh_dalpha * sigma_alpha_factor)
+    )
+    return ratio, np.isnan(ratio) | (ratio > SINGULAR_RATIO)
 
 
 def fd_partials(cfg):
@@ -92,6 +171,14 @@ class TestIntersectionPoint:
         with pytest.raises(GlancingOrMiss):
             intersection_point(cfg)
 
+    def test_glancing_same_side_behind_target(self):
+        # a negative alpha with theta - alpha = 90 deg grazes as well
+        cfg = cfg_of(SAME, 45.0, -45.0, 515e3, 770e3)
+        with pytest.raises(GlancingOrMiss):
+            intersection_point(cfg)
+        _, _, miss = oracle_partials(cfg.mode, cfg.theta, cfg.alpha, cfg.hs, cfg.ho, cfg.h)
+        assert miss
+
     def test_perturbed_range_shifts_height_radially(self):
         # same-side theta = alpha: the ray crosses the circle radially, so a
         # +1 m range perturbation moves z by about -cos(30 deg)
@@ -146,6 +233,74 @@ class TestHeightPartials:
             assert dh_dr == pytest.approx(fd_r, rel=1e-6), (mode, theta, alpha)
             assert dh_da == pytest.approx(fd_a, rel=1e-6), (mode, theta, alpha)
             checked += 1
+
+
+class TestClosedFormAgainstOracle:
+    """The closed-form partials against the numerical ray-circle solve."""
+
+    @pytest.mark.parametrize("mode", [OPPOSITE, SAME])
+    @pytest.mark.parametrize("thetas", BENCH_THETAS)
+    @pytest.mark.parametrize("hs, ho", [
+        (480e3, 600e3), (480e3, 800e3), (500e3, 700e3), (520e3, 600e3),
+        (520e3, 800e3), (760.0, 770e3),
+    ])
+    def test_benchmark_grids(self, mode, thetas, hs, ho):
+        grid = accuracy_grid(mode, thetas, BENCH_ALPHA, BENCH_STEPS, hs, ho)
+        ratio, flags = oracle_grid(mode, thetas, BENCH_ALPHA, BENCH_STEPS, hs, ho)
+        assert np.array_equal(grid.flags, flags)
+        # flagged cells lie near the tangency line, where the numerical root
+        # loses up to 6e-7 of a ratio in the thousands; the closed form is
+        # within 4e-13 of a 60-digit evaluation there
+        ok = ~flags
+        np.testing.assert_allclose(grid.sigma_ratio[ok], ratio[ok], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("mode, alphas, steps", [
+        (OPPOSITE, (5.0, 80.0), (81, 76)),
+        (OPPOSITE, (-80.0, 80.0), (400, 400)),
+        (SAME, (-80.0, 80.0), (400, 400)),
+    ])
+    @pytest.mark.parametrize("hs, ho", [(515e3, 770e3), (760.0, 770e3)])
+    def test_flags_across_tangency_line(self, mode, alphas, steps, hs, ho):
+        grid = accuracy_grid(mode, (5.0, 85.0), alphas, steps, hs, ho)
+        _, flags = oracle_grid(mode, (5.0, 85.0), alphas, steps, hs, ho)
+        assert grid.flags.any()
+        assert np.array_equal(grid.flags, flags)
+
+    def test_grazing_configurations_match(self):
+        # configurations within a few 1e-5 rad of tangency, on both sides of
+        # the 1e-5 grazing test
+        rng = np.random.default_rng(1)
+        grazed = 0
+        for _ in range(2000):
+            mode = OPPOSITE if rng.random() < 0.5 else SAME
+            theta = rng.uniform(0.01, np.pi / 2 - 0.01)
+            alpha = np.pi / 2 - theta + rng.normal(0.0, 3e-5)
+            if mode == SAME:
+                alpha = -alpha
+            cfg = StereoConfig(mode, theta, alpha, rng.uniform(500.0, 800e3),
+                               rng.uniform(1000.0, 800e3))
+            _, _, miss = oracle_partials(mode, theta, alpha, cfg.hs, cfg.ho, cfg.h)
+            if miss:
+                grazed += 1
+                with pytest.raises(GlancingOrMiss):
+                    height_partials(cfg)
+            else:
+                height_partials(cfg)
+        assert 0 < grazed < 2000
+
+    @pytest.mark.parametrize("mode, theta, alpha", [
+        (OPPOSITE, 54.0, 12.0), (OPPOSITE, 40.0, 25.0),
+        (SAME, 21.0, 8.0), (SAME, 33.0, 10.3), (SAME, 45.0, -20.0),
+    ])
+    def test_independent_of_sar_height(self, mode, theta, alpha):
+        heights = (760.0, 3000.0, 514e3)
+        cfgs = [cfg_of(mode, theta, alpha, hs, 770e3) for hs in heights]
+        ratios = [normalized_height_accuracy(cfg) for cfg in cfgs]
+        assert ratios[0] == ratios[1] == ratios[2]
+        # the solve through each SAR height agrees, so this is the geometry
+        for cfg, ratio in zip(cfgs, ratios):
+            fd_r, fd_a = fd_partials(cfg)
+            assert ratio == pytest.approx(np.hypot(fd_r, fd_a * 1e-6), rel=1e-6)
 
 
 class TestNormalizedAccuracy:
@@ -262,6 +417,33 @@ class TestAccuracyGrid:
                 "hs": 500e3, "ho": 700e3, **kwargs}
         with pytest.raises(ValueError):
             accuracy_grid(mode, alpha_range_deg=alphas, **args)
+
+    @pytest.mark.parametrize("steps", [
+        (0, 3), (3,), (2.5, 3), (-1, 3), (3, 4, 5), (True, 3), (3, np.float64(2.0)),
+    ])
+    def test_malformed_steps_raise_before_any_work(self, steps, monkeypatch):
+        monkeypatch.setattr(accuracy, "_partials", None)
+        with pytest.raises(ValueError, match="steps"):
+            accuracy_grid(SAME, (20.0, 50.0), (5.0, 15.0), steps, hs=515e3, ho=770e3)
+
+    def test_numpy_integer_steps_accepted(self):
+        grid = accuracy_grid(SAME, (20.0, 50.0), (5.0, 15.0),
+                             (np.int64(3), np.int32(2)), hs=515e3, ho=770e3)
+        assert grid.sigma_ratio.shape == (3, 2)
+        assert not grid.flags.any()
+
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, -1e-6])
+    def test_bad_sigma_alpha_factor_raises(self, factor, monkeypatch):
+        with pytest.raises(ValueError, match="sigma_alpha_factor"):
+            cfg_of(SAME, 30.0, 10.0, 515e3, 770e3, sigma_alpha_factor=factor)
+        monkeypatch.setattr(accuracy, "_partials", None)
+        with pytest.raises(ValueError, match="sigma_alpha_factor"):
+            accuracy_grid(SAME, (20.0, 50.0), (5.0, 15.0), (4, 4), hs=515e3,
+                          ho=770e3, sigma_alpha_factor=factor)
+
+    def test_zero_sigma_alpha_factor_leaves_the_range_term(self):
+        cfg = cfg_of(OPPOSITE, 40.0, 20.0, 760.0, 770e3, sigma_alpha_factor=0.0)
+        assert normalized_height_accuracy(cfg) == abs(height_partials(cfg)[0])
 
     def test_cells_without_viewing_side_stay_flagged(self):
         same = accuracy_grid(SAME, (20.0, 50.0), (-20.0, 20.0), (4, 5),

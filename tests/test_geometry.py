@@ -33,6 +33,7 @@ from sarstereo.geometry import (
     sar_inverse_at_height,
 )
 from sarstereo.raster import Raster, load_raster, save_raster
+from sarstereo.scene_sim import SceneSpec, canonical_scene_models
 
 
 @pytest.fixture
@@ -414,8 +415,18 @@ class TestArrayCore:
         t, r = sar_forward_array(model, pts)
         for i, p in enumerate(pts):
             obs = sar_forward(model, GroundPoint(*p))
-            close(t[i], obs.t)
-            close(r[i], obs.r)
+            assert (t[i], r[i]) == (obs.t, obs.r)
+
+    def test_sar_forward_array_matches_scalar_on_canonical_model(self):
+        # enough points that an ulp apart in 1 of 5,000 would show
+        sar, *_ = canonical_scene_models(SceneSpec(extent=(200.0, 200.0)))
+        rng = np.random.default_rng(0)
+        pts = np.column_stack([rng.uniform(0.0, 200.0, (20_000, 2)),
+                               rng.uniform(0.0, 50.0, 20_000)])
+        t, r = sar_forward_array(sar, pts)
+        scalar = [sar_forward(sar, GroundPoint(*p)) for p in pts]
+        assert np.array_equal(t, [obs.t for obs in scalar])
+        assert np.array_equal(r, [obs.r for obs in scalar])
 
     @settings(max_examples=60, deadline=None)
     @given(camera_and_points())

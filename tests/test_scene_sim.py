@@ -90,6 +90,31 @@ class TestMakeScene:
             SceneSpec(extent=(50, 50),
                       buildings=(Building(rect=(40, 40, 60, 60), height=5.0),))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"ground_height": np.nan},
+        {"ground_height": np.inf},
+        {"texture_contrast": np.nan},
+        {"texture_contrast": -np.inf},
+        # a grid of 0 x 0 cells
+        {"gsd": 1e9},
+        {"extent": (50.0, 0.4)},
+        {"extent": (np.inf, 10.0)},
+        {"gsd": np.inf},
+    ])
+    def test_spec_rejects_non_finite_values_and_empty_grids(self, kwargs):
+        with pytest.raises(ValueError):
+            SceneSpec(**{"extent": (50.0, 40.0), **kwargs})
+
+    @pytest.mark.parametrize("rect, height", [
+        ((10.0, 10.0, 20.0, 20.0), np.inf),
+        ((10.0, 10.0, 20.0, 20.0), np.nan),
+        ((10.0, 10.0, np.inf, 20.0), 5.0),
+        ((np.nan, 10.0, 20.0, 20.0), 5.0),
+    ])
+    def test_building_rejects_non_finite_values(self, rect, height):
+        with pytest.raises(ValueError):
+            Building(rect=rect, height=height)
+
 
 def _render_optical_oracle(dem, reflectance, model, shape):
     """Noise-free render_optical by the full-frame march: the DEM is sampled
