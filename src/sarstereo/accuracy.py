@@ -42,6 +42,7 @@ are 1-cell calls of the same path, so they agree bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,8 @@ class StereoConfig:
             )
         if self.mode == OPPOSITE and self.alpha < 0:
             raise ValueError("alpha is signed only in same_side mode")
+        if not all(map(math.isfinite, (self.hs, self.ho, self.h))):
+            raise ValueError("heights hs, ho and h must be finite")
         if not (self.hs > self.h and self.ho > self.h):
             raise ValueError("platform heights must exceed the target height")
         if not 0.0 <= self.sigma_alpha_factor < np.inf:

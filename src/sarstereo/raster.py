@@ -8,6 +8,12 @@ followed by row-major little-endian float32 samples.  Round trips are
 bit-exact.  16-bit (and 8-bit) binary PGM is accepted read-only.  A raster
 may carry a JSON sidecar (written next to it as <path>.json) holding sensor
 models and a geotransform.
+
+Sampling and splatting: bilinear samples a grid, or a stack of same-shape
+grids, at fractional positions, and soft_histogram is its adjoint, fed by
+linear_bins.  A stack's grids share one computation of the corners,
+fractions and off-grid mask per block of positions; render_sar samples the
+DEM and the reflectance that way.
 """
 
 from __future__ import annotations
@@ -193,52 +199,86 @@ def load_raster(path) -> Raster:
     return raster
 
 
-def bilinear(samples: np.ndarray, r, c, fill: float) -> np.ndarray:
+def bilinear(samples: np.ndarray, r, c, fill) -> np.ndarray:
     """Vectorized bilinear sampling at fractional (row, col) positions.
 
-    r and c broadcast against each other, and the result has their shape.
-    Positions off the grid, NaN included, return fill.  A grid of one row or
-    one column interpolates along the other axis only.
+    samples is one grid (rows, cols), or a stack (k, rows, cols) of grids
+    sampled at the same positions; a stack takes one fill per grid and its
+    result gets a leading axis of length k.  r and c broadcast against each
+    other, and the result has their shape.  Positions off the grid, NaN
+    included, return fill.  A grid of one row or one column interpolates
+    along the other axis only.
 
     The positions are taken BILINEAR_BLOCK at a time into one preallocated
-    output.  Each block's temporaries are at most 64 KiB, small enough for
-    the allocator to reuse its own free memory instead of mapping fresh
-    pages for every full-size temporary.  Each value is the same sum of the
-    four corners, in the same order, as an unblocked evaluation.
+    output.  Each block's temporaries are at most 64 KiB per grid, small
+    enough for the allocator to reuse its own free memory instead of mapping
+    fresh pages for every full-size temporary.  A block's corner indices,
+    fractions and off-grid mask are computed once and serve every grid of
+    the stack.  Each value is the same sum of the four corners, in the same
+    order, as an unblocked evaluation of its grid alone.
     """
-    rows, cols = samples.shape
+    samples = np.asarray(samples)
+    if samples.ndim not in (2, 3):
+        raise ValueError(f"samples must be one grid or a stack of grids, got {samples.ndim}D")
+    *stack, rows, cols = samples.shape
+    fills = np.asarray(fill, dtype=float)
+    if fills.size != math.prod(stack):
+        raise ValueError(f"need one fill per grid, got {fills.size} for {math.prod(stack)}")
+    # flat grids and their fills, one row each in a stack; one grid stays
+    # 1-D, where numpy's loops have the least overhead
+    grids = samples.reshape(*stack, rows * cols)
+    fills = fills.reshape(*stack, 1)
     r, c = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(c, dtype=float))
-    out = np.empty(r.shape, dtype=np.result_type(samples.dtype, float))
-    grid = samples.ravel()
+    out = np.empty((*stack, *r.shape), dtype=np.result_type(samples.dtype, float))
     # the second corner's flat offset along each axis; a grid of one row or
     # one column has only the first
     dr = cols if rows > 1 else 0
     dc = 1 if cols > 1 else 0
-    r_flat, c_flat, out_flat = r.reshape(-1), c.reshape(-1), out.reshape(-1)
-    for lo in range(0, out_flat.size, BILINEAR_BLOCK):
+    r_flat, c_flat = r.reshape(-1), c.reshape(-1)
+    out_flat = out.reshape(*stack, -1)
+    for lo in range(0, r_flat.size, BILINEAR_BLOCK):
         rb = r_flat[lo:lo + BILINEAR_BLOCK]
         cb = c_flat[lo:lo + BILINEAR_BLOCK]
-        inside = (rb >= 0) & (rb <= rows - 1) & (cb >= 0) & (cb <= cols - 1)
-        # any in-grid index will do for the positions that get fill
-        fr = np.where(inside, rb, 0.0)
-        fc = np.where(inside, cb, 0.0)
-        r0 = np.minimum(fr.astype(int), max(rows - 2, 0))
-        c0 = np.minimum(fc.astype(int), max(cols - 2, 0))
-        fr -= r0
-        fc -= c0
-        gr = 1 - fr
-        gc = 1 - fc
-        i00 = r0 * cols
-        i00 += c0
+        # each position clamped onto the grid, NaN to 0: a position is
+        # off the grid where the clamp moved it
+        r0 = np.fmax(rb, 0.0)
+        np.fmin(r0, rows - 1.0, out=r0)
+        c0 = np.fmax(cb, 0.0)
+        np.fmin(c0, cols - 1.0, out=c0)
+        off = r0 != rb
+        off |= c0 != cb
+        # the first corner, in float: exact, with no int-to-float cast in
+        # the fractions.  These come from rb and cb themselves, since fmax
+        # may return either zero for a position of -0.0; the corner's
+        # += 0.0 turns a kept -0.0 into +0.0, or -0.0 - -0.0 would give a
+        # fraction of +0.0 where the position's own is -0.0
+        for p0, last in ((r0, rows - 2.0), (c0, cols - 2.0)):
+            np.fmin(p0, max(last, 0.0), out=p0)
+            np.trunc(p0, out=p0)
+            p0 += 0.0
+        fr = rb - r0
+        fc = cb - c0
+        any_off = np.count_nonzero(off)
+        if any_off:
+            # an off-grid position's fractions can be inf or NaN; fill
+            # replaces its value, so any finite fraction will do
+            fr[off] = 0.0
+            fc[off] = 0.0
+        gr = 1.0 - fr
+        gc = 1.0 - fc
+        r0 *= cols
+        r0 += c0
+        i00 = r0.astype(np.intp)
         del r0, c0
-        v = out_flat[lo:lo + BILINEAR_BLOCK]
-        np.multiply(grid.take(i00), gr, out=v)
+        v = out_flat[..., lo:lo + BILINEAR_BLOCK]
+        np.multiply(grids.take(i00, axis=-1), gr, out=v)
         v *= gc
         for offset, wr, wc in ((dr, fr, gc), (dc, gr, fc), (dr + dc, fr, fc)):
-            term = grid.take(i00 + offset) * wr
+            term = grids.take(i00 + offset, axis=-1) * wr
             term *= wc
             v += term
-        np.copyto(v, fill, where=~inside)
+        if any_off:
+            np.copyto(v, fills, where=off)
     return out
 
 
@@ -266,7 +306,7 @@ def linear_bins(pos, n: int, wrap: bool = False):
     else:
         hi = lo + 1
         for idx, w in ((lo, w_lo), (hi, w_hi)):
-            off = (idx < 0) | (idx >= n)
+            off = idx.view(np.uint64) >= int(n)  # a negative index reads as huge
             idx[off] = 0
             w[off] = 0.0
     return (lo, w_lo), (hi, w_hi)

@@ -107,10 +107,10 @@ class RenderNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if self.optical_sigma < 0:
-            raise ValueError("optical_sigma must be >= 0")
-        if self.speckle_looks is not None and self.speckle_looks < 1:
-            raise ValueError("speckle_looks must be >= 1")
+        if not 0 <= self.optical_sigma < math.inf:
+            raise ValueError("optical_sigma must be finite and >= 0")
+        if self.speckle_looks is not None and not 1 <= self.speckle_looks < math.inf:
+            raise ValueError("speckle_looks must be None or finite and >= 1")
 
 
 def make_scene(spec: SceneSpec) -> tuple[Raster, Raster]:
@@ -382,51 +382,70 @@ def render_sar(
 
     Every per-sample stage runs in blocks of whole track-frame rows of about
     BILINEAR_BLOCK samples, in row order, since a row's shadow needs all of
-    it: world x and y, DEM heights, the height gradient (taken on the block
-    plus one halo row on each side, so it equals the full frame's, one-sided
-    at the frame's edges), weighting, shadow, projection of the samples
-    that carry energy, density and bins.  soft_histogram takes the blocks
-    one after another and adds them in sample order, so the image is the
-    one a single splat of all samples gives, byte for byte, and memory is
-    O(block + output) instead of O(samples).  Assumption: along an axis of
-    the track frame that is one sample long the slope is taken as 0.
+    it: world x and y, DEM heights and reflectance, the height gradient
+    (taken on the block plus one halo row on each side, so it equals the
+    full frame's, one-sided at the frame's edges), weighting, shadow,
+    projection of the samples that carry energy, density and bins.  The DEM
+    and the reflectance, cast to float64 once per render, are sampled in one
+    bilinear call per block, on the halo rows: one computation of the
+    corners serves both grids, and each sample keeps the bytes of its own
+    grid's call.  soft_histogram takes the blocks one after another and
+    adds them in sample order, so the image is the one a single splat of
+    all samples gives, byte for byte, and memory is O(block + output)
+    instead of O(samples), plus the float64 copy of the two grids.
+    ValueError is raised unless the reflectance has the DEM's shape.
+    Assumption: along an axis of the track frame that is one sample long
+    the slope is taken as 0.
     """
     if not (isinstance(supersample, (int, np.integer)) and supersample >= 1):
         raise ValueError(f"supersample must be an integer >= 1, got {supersample!r}")
     grid = GroundGrid.from_raster(dem)
+    if reflectance.samples.shape != dem.samples.shape:
+        raise ValueError(f"reflectance {reflectance.samples.shape} and DEM "
+                         f"{dem.samples.shape} must share one grid")
     rows_out, cols_out = shape
     sub = grid.step / supersample
     du, dw, xy = _track_samples(grid, model, sub)
     ground = float(dem.samples.min())
+    # both grids in float64 once per render, sampled at one set of corners
+    surfaces = np.stack([dem.samples, reflectance.samples], dtype=float)
     z_s = float(model.position(model.t0)[2])
     vnorm = np.linalg.norm(model.v)
+    # the look vector's horizontal squares; each block sums
+    # (dw^2 + du^2) + (h - z_s)^2, the order of np.linalg.norm(axis=0)
+    dw2, du2 = dw * dw, du * du
     rows_per_block = max(1, BILINEAR_BLOCK // dw.size)
     spans = []  # each block's least and greatest row and col
 
     def blocks():
         for start in range(0, du.size, rows_per_block):
+            rows = slice(start, start + rows_per_block)
             halo = slice(max(start - 1, 0), start + rows_per_block + 1)
             x, y = xy(halo)
-            h = bilinear(dem.samples, *grid.cell_of(x, y), ground)
+            h, refl = bilinear(surfaces, *grid.cell_of(x, y), (ground, 0.0))
             # local incidence weighting in the track frame: surface normal
             # (-gw, -gu, 1) against the direction back toward the sensor
             gu, gw = (np.gradient(h, sub, axis=k) if h.shape[k] > 1 else np.zeros_like(h)
                       for k in (0, 1))
             b = slice(start - halo.start, start - halo.start + rows_per_block)
-            x, y, h, gu, gw = x[b], y[b], h[b], gu[b], gw[b]
-            refl = bilinear(reflectance.samples, *grid.cell_of(x, y), 0.0)
-            look = np.stack(np.broadcast_arrays(dw, du[start:start + rows_per_block, None],
-                                                h - z_s))
-            look /= np.linalg.norm(look, axis=0)
+            x, y, h, refl, gu, gw = x[b], y[b], h[b], refl[b], gu[b], gw[b]
+            lz = h - z_s
+            norm = np.sqrt((dw2 + du2[rows, None]) + lz * lz)
             n_norm = np.sqrt(gw * gw + gu * gu + 1.0)
-            cos_inc = np.clip((gw * look[0] + gu * look[1] - look[2]) / n_norm, 0.0, 1.0)
+            cos_inc = np.clip((gw * (dw / norm) + gu * (du[rows, None] / norm) - lz / norm)
+                              / n_norm, 0.0, 1.0)
             weight = refl * (0.25 + 0.75 * cos_inc)
             weight = np.where(_shadow_mask(dw, h, z_s), 0.03 * weight, weight)
             # only samples that carry energy are projected: the rest, off
             # the DEM with fill reflectance 0 among them, would add +0.0
             lit = weight != 0
-            h, weight = h[lit], weight[lit]
-            t, slant = sar_forward_array(model, np.stack([x[lit], y[lit], h], axis=-1))
+            if lit.all():
+                ground_pts, weight = np.stack([x, y, h]).reshape(3, -1), weight.reshape(-1)
+            else:
+                ground_pts, weight = np.stack([x[lit], y[lit], h[lit]]), weight[lit]
+            h = ground_pts[2]
+            # (n, 3) rows of a (3, n) array: each coordinate is contiguous
+            t, slant = sar_forward_array(model, ground_pts.T)
             row = (t - model.t0) / model.az_time_per_row
             col = (slant - model.r_near) / model.range_per_col
             if row.size:

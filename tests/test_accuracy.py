@@ -517,6 +517,28 @@ class TestConfigValidation:
             cfg_of(SAME, 30.0, 10.0, 515e3, 770e3, h=600e3)
 
     @pytest.mark.parametrize("mode", [SAME, OPPOSITE])
+    @pytest.mark.parametrize("heights", [
+        pytest.param((np.inf, np.inf, 0.0), id="hs-ho-inf"),
+        pytest.param((515e3, 770e3, -np.inf), id="h-minus-inf"),
+        pytest.param((np.inf, 770e3, 0.0), id="hs-inf"),
+        pytest.param((515e3, np.inf, 0.0), id="ho-inf"),
+        pytest.param((515e3, 770e3, np.nan), id="h-nan"),
+    ])
+    def test_rejects_non_finite_heights(self, mode, heights):
+        # an infinite height passed the height ordering and gave an
+        # infinite accuracy
+        with pytest.raises(ValueError, match="finite"):
+            StereoConfig(mode, 0.5, 0.3, *heights)
+
+    @pytest.mark.parametrize("hs, ho, h", [(5e5, np.inf, 0.0), (np.inf, 7e5, 0.0),
+                                           (5e5, 7e5, -np.inf)])
+    def test_grid_rejects_non_finite_heights(self, hs, ho, h, monkeypatch):
+        # an infinite ho gave an all-inf, all-flagged grid
+        monkeypatch.setattr(accuracy, "_partials", None)
+        with pytest.raises(ValueError, match="finite"):
+            accuracy_grid(SAME, (20, 40), (5, 10), (2, 2), hs, ho, h)
+
+    @pytest.mark.parametrize("mode", [SAME, OPPOSITE])
     def test_rejects_alpha_whose_sine_squared_underflows(self, mode):
         # 1 / sin(alpha)^2 overflows below about 1e-154 rad, which made the
         # accuracy NaN or inf; such an alpha has no usable viewing side

@@ -232,6 +232,69 @@ def bilinear_unblocked(samples, r, c, fill):
     return np.where(inside, v, fill)
 
 
+def bilinear_oracle(samples: np.ndarray, r, c, fill: float) -> np.ndarray:
+    """bilinear as it was when each grid computed its own corners, verbatim.
+
+    The reference for the bytes of every grid, alone or in a stack."""
+    rows, cols = samples.shape
+    r, c = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(c, dtype=float))
+    out = np.empty(r.shape, dtype=np.result_type(samples.dtype, float))
+    grid = samples.ravel()
+    # the second corner's flat offset along each axis; a grid of one row or
+    # one column has only the first
+    dr = cols if rows > 1 else 0
+    dc = 1 if cols > 1 else 0
+    r_flat, c_flat, out_flat = r.reshape(-1), c.reshape(-1), out.reshape(-1)
+    for lo in range(0, out_flat.size, BILINEAR_BLOCK):
+        rb = r_flat[lo:lo + BILINEAR_BLOCK]
+        cb = c_flat[lo:lo + BILINEAR_BLOCK]
+        inside = (rb >= 0) & (rb <= rows - 1) & (cb >= 0) & (cb <= cols - 1)
+        # any in-grid index will do for the positions that get fill
+        fr = np.where(inside, rb, 0.0)
+        fc = np.where(inside, cb, 0.0)
+        r0 = np.minimum(fr.astype(int), max(rows - 2, 0))
+        c0 = np.minimum(fc.astype(int), max(cols - 2, 0))
+        fr -= r0
+        fc -= c0
+        gr = 1 - fr
+        gc = 1 - fc
+        i00 = r0 * cols
+        i00 += c0
+        del r0, c0
+        v = out_flat[lo:lo + BILINEAR_BLOCK]
+        np.multiply(grid.take(i00), gr, out=v)
+        v *= gc
+        for offset, wr, wc in ((dr, fr, gc), (dc, gr, fc), (dr + dc, fr, fc)):
+            term = grid.take(i00 + offset) * wr
+            term *= wc
+            v += term
+        np.copyto(v, fill, where=~inside)
+    return out
+
+
+def linear_bins_oracle(pos, n: int, wrap: bool = False):
+    """linear_bins as it was with two comparisons per off-range test, verbatim."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"axis length must be an integer >= 1, got {n!r}")
+    pos = np.asarray(pos, dtype=float)
+    lo = np.floor(pos)
+    w_hi = pos - lo
+    w_lo = 1.0 - w_hi
+    lo = lo.astype(np.int64)
+    if wrap:
+        # one integer modulo: (lo + 1) mod n is lo mod n + 1, or 0 where that is n
+        lo %= n
+        hi = lo + 1
+        hi *= hi != n
+    else:
+        hi = lo + 1
+        for idx, w in ((lo, w_lo), (hi, w_hi)):
+            off = (idx < 0) | (idx >= n)
+            idx[off] = 0
+            w[off] = 0.0
+    return (lo, w_lo), (hi, w_hi)
+
+
 B = BILINEAR_BLOCK
 
 
@@ -270,6 +333,90 @@ class TestBilinear:
         want = bilinear_unblocked(samples, r, c, fill)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 7), st.integers(1, 9)),
+        k=st.integers(1, 3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        layout=st.sampled_from(["flat", "scalar", "broadcast", "blocks"]),
+        data=st.data(),
+    )
+    def test_every_grid_alone_and_in_a_stack_equals_oracle(self, shape, k, dtype, layout,
+                                                           data):
+        rows, cols = shape
+        # signed zeros among the values, so a corner term's sign of zero shows
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e3, 1e3, width=32))
+        stack = np.array(data.draw(st.lists(values, min_size=k * rows * cols,
+                                            max_size=k * rows * cols)),
+                         dtype=dtype).reshape(k, rows, cols)
+        fills = data.draw(st.lists(st.sampled_from([np.nan, -7.0, 0.0, -0.0]),
+                                   min_size=k, max_size=k))
+
+        def positions(n, size):
+            # both edges, one ulp past either, -0.0, NaN, infinities, grid
+            # nodes and positions in between
+            last = float(n - 1)
+            special = [0.0, -0.0, last, float(np.nextafter(0.0, -1.0)),
+                       float(np.nextafter(last, np.inf)), np.nan, np.inf, -np.inf]
+            return np.array(data.draw(st.lists(
+                st.one_of(st.sampled_from(special), st.integers(-1, n).map(float),
+                          st.floats(-1.5, n + 0.5)),
+                min_size=size, max_size=size)))
+
+        m = data.draw(st.integers(1, 12))
+        r, c = positions(rows, m), positions(cols, m)
+        if layout == "scalar":
+            r, c = float(r[0]), float(c[0])
+        elif layout == "broadcast":
+            r, c = r[:, None], positions(cols, 3)[None, :]
+        elif layout == "blocks":
+            # across the edges of BILINEAR_BLOCK
+            r, c = np.resize(r, B + 7), np.resize(c, B + 7)
+        want = [bilinear_oracle(g, r, c, f) for g, f in zip(stack, fills)]
+        for g, f, w in zip(stack, fills, want):
+            got = bilinear(g, r, c, f)
+            assert got.shape == w.shape and got.dtype == w.dtype
+            assert got.tobytes() == w.tobytes()
+        # one call over the stack, in its own dtype and cast to float64
+        for grids in (stack, stack.astype(float)):
+            got = bilinear(grids, r, c, fills)
+            assert got.shape == (k, *np.broadcast_shapes(np.shape(r), np.shape(c)))
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.stack(want).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)])
+    def test_signed_zero_grids_and_positions_equal_oracle(self, shape):
+        # every grid of signed zeros, sampled at -0.0, +0.0, 0.5 and the far
+        # edge: the sign of a zero result follows the sign of a zero
+        # fraction.  fmax and fmin treat -0.0 one way in their vector loops
+        # and another in their scalar ones, so each position comes alone, as
+        # a short run and as a run of 16
+        rows, cols = shape
+        axis = [-0.0, 0.0, 0.5]
+        pairs = list(itertools.product(axis + [rows - 1.0], axis + [cols - 1.0]))
+        for signs in itertools.product([0.0, -0.0], repeat=rows * cols):
+            grid = np.array(signs).reshape(shape)
+            stack = np.stack([grid, -grid])
+            for (r, c), n in itertools.product(pairs, [None, 3, 16]):
+                if n is not None:
+                    r, c = np.full(n, r), np.full(n, c)
+                want = [bilinear_oracle(g, r, c, -0.0) for g in stack]
+                assert bilinear(grid, r, c, -0.0).tobytes() == want[0].tobytes()
+                assert (bilinear(stack, r, c, (-0.0, -0.0)).tobytes()
+                        == np.stack(want).tobytes())
+
+    @pytest.mark.parametrize("samples, fill, match", [
+        (np.zeros(4), 0.0, "stack"),
+        (np.zeros((1, 2, 2, 2)), 0.0, "stack"),
+        (np.zeros((2, 2, 2)), 0.0, "fill"),
+        (np.zeros((2, 2, 2)), (0.0, 1.0, 2.0), "fill"),
+        (np.zeros((2, 2)), (0.0, 1.0), "fill"),
+    ])
+    def test_rejects_samples_that_are_not_grids_and_a_fill_count_per_grid(
+            self, samples, fill, match):
+        with pytest.raises(ValueError, match=match):
+            bilinear(samples, [0.5], [0.5], fill)
 
     def test_peak_memory_is_one_block_of_temporaries(self):
         # the output plus 16 block-sized float64 temporaries; the unblocked
@@ -426,6 +573,21 @@ class TestSoftHistogram:
         expected = ((np.mod(lo, n), 1.0 - (pos - np.floor(pos))),
                     (np.mod(lo + 1, n), pos - np.floor(pos)))
         for got, want in zip(linear_bins(pos, n, wrap=True), expected):
+            assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                       for g, w in zip(got, want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 9), st.sampled_from([2**31, 2**62])),
+        pos=st.lists(st.one_of(st.floats(-12.0, 12.0), st.floats(-1e18, 1e18),
+                               st.sampled_from([-0.0, -0.5, -1.0, -1e-300, 8.0, 9.0, 10.0,
+                                                -2.0**63, 2.0**62, np.nextafter(2.0**63, 0)])),
+                     min_size=1, max_size=30),
+    )
+    def test_unwrapped_off_range_test_equals_two_comparisons(self, n, pos):
+        # one unsigned comparison: a negative index reads as a huge one
+        pos = np.array(pos)
+        for got, want in zip(linear_bins(pos, n), linear_bins_oracle(pos, n)):
             assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes()
                        for g, w in zip(got, want))
 

@@ -116,6 +116,24 @@ class TestMakeScene:
             Building(rect=rect, height=height)
 
 
+class TestRenderNoise:
+    @pytest.mark.parametrize("kwargs", [
+        {"optical_sigma": np.nan}, {"optical_sigma": np.inf}, {"optical_sigma": -1.0},
+        {"speckle_looks": np.inf}, {"speckle_looks": np.nan}, {"speckle_looks": 0},
+        {"speckle_looks": 0.5},
+    ])
+    def test_rejects_non_finite_or_out_of_range_settings(self, kwargs):
+        # a NaN sigma meant no noise, an infinite one an image with no
+        # finite sample, and infinite or NaN looks an all-NaN SAR image
+        with pytest.raises(ValueError):
+            RenderNoise(**kwargs)
+
+    def test_accepts_finite_settings(self):
+        for kwargs in ({}, {"optical_sigma": 0.0, "speckle_looks": 1},
+                       {"optical_sigma": 2.5, "speckle_looks": 4.5}, {"speckle_looks": None}):
+            RenderNoise(**kwargs)
+
+
 def _render_optical_oracle(dem, reflectance, model, shape):
     """Noise-free render_optical by the full-frame march: the DEM is sampled
     for every pixel at every march height and every bisection step."""
@@ -477,6 +495,37 @@ class TestRenderSar:
         row_length = _track_samples(grid, sar, grid.step / supersample)[1].size
         assert max(projected) <= max(1, BILINEAR_BLOCK // row_length) * row_length
         assert track != "30" or n_box > 2 * total
+
+    @pytest.mark.parametrize("spec", [None, _WIDE_SPEC], ids=["city", "row-over-one-block"])
+    def test_one_corner_computation_per_block_serves_both_grids(self, spec, monkeypatch):
+        # each block samples the DEM (on its halo rows) and the reflectance
+        # in one bilinear call, so at one set of corners
+        spec = spec or _city_spec(extent=(90.0, 40.0))
+        dem, refl = make_scene(spec)
+        sar, _, sar_shape, _ = canonical_scene_models(spec)
+        grids, blocks = [], []
+
+        def counting_bilinear(samples, r, c, fill):
+            grids.append(np.shape(samples))
+            return bilinear(samples, r, c, fill)
+
+        def counting_forward(model, ground):
+            blocks.append(ground[..., 0].size)  # one projection per block
+            return sar_forward_array(model, ground)
+
+        monkeypatch.setattr(scene_sim, "bilinear", counting_bilinear)
+        monkeypatch.setattr(scene_sim, "sar_forward_array", counting_forward)
+        render_sar(dem, refl, sar, RenderNoise(), sar_shape)
+        assert len(blocks) > 1 and len(grids) == len(blocks)
+        assert set(grids) == {(2, *dem.samples.shape)}
+
+    def test_rejects_reflectance_off_the_dem_grid(self):
+        spec = SceneSpec(extent=(20, 20))
+        dem, refl = make_scene(spec)
+        sar, _, sar_shape, _ = canonical_scene_models(spec)
+        cropped = Raster(samples=refl.samples[:-1], sidecar=refl.sidecar)
+        with pytest.raises(ValueError, match="one grid"):
+            render_sar(dem, cropped, sar, RenderNoise(), sar_shape)
 
     @pytest.mark.parametrize("supersample", [1, 2])
     @pytest.mark.parametrize("extent", [(1.0, 10.0), (10.0, 1.0), (1.0, 1.0)])
