@@ -239,36 +239,18 @@ def bilinear(samples: np.ndarray, r, c, fill) -> np.ndarray:
     for lo in range(0, r_flat.size, BILINEAR_BLOCK):
         rb = r_flat[lo:lo + BILINEAR_BLOCK]
         cb = c_flat[lo:lo + BILINEAR_BLOCK]
-        # each position clamped onto the grid, NaN to 0: a position is
-        # off the grid where the clamp moved it
-        r0 = np.fmax(rb, 0.0)
-        np.fmin(r0, rows - 1.0, out=r0)
-        c0 = np.fmax(cb, 0.0)
-        np.fmin(c0, cols - 1.0, out=c0)
-        off = r0 != rb
-        off |= c0 != cb
-        # the first corner, in float: exact, with no int-to-float cast in
-        # the fractions.  These come from rb and cb themselves, since fmax
-        # may return either zero for a position of -0.0; the corner's
-        # += 0.0 turns a kept -0.0 into +0.0, or -0.0 - -0.0 would give a
-        # fraction of +0.0 where the position's own is -0.0
-        for p0, last in ((r0, rows - 2.0), (c0, cols - 2.0)):
-            np.fmin(p0, max(last, 0.0), out=p0)
-            np.trunc(p0, out=p0)
-            p0 += 0.0
-        fr = rb - r0
-        fc = cb - c0
-        any_off = np.count_nonzero(off)
-        if any_off:
-            # an off-grid position's fractions can be inf or NaN; fill
-            # replaces its value, so any finite fraction will do
-            fr[off] = 0.0
-            fc[off] = 0.0
-        gr = 1.0 - fr
-        gc = 1.0 - fc
-        r0 *= cols
-        r0 += c0
-        i00 = r0.astype(np.intp)
+        inside = (rb >= 0) & (rb <= rows - 1) & (cb >= 0) & (cb <= cols - 1)
+        # any in-grid index will do for the positions that get fill
+        fr = np.where(inside, rb, 0.0)
+        fc = np.where(inside, cb, 0.0)
+        r0 = np.minimum(fr.astype(int), max(rows - 2, 0))
+        c0 = np.minimum(fc.astype(int), max(cols - 2, 0))
+        fr -= r0
+        fc -= c0
+        gr = 1 - fr
+        gc = 1 - fc
+        i00 = r0 * cols
+        i00 += c0
         del r0, c0
         v = out_flat[..., lo:lo + BILINEAR_BLOCK]
         np.multiply(grids.take(i00, axis=-1), gr, out=v)
@@ -277,8 +259,7 @@ def bilinear(samples: np.ndarray, r, c, fill) -> np.ndarray:
             term = grids.take(i00 + offset, axis=-1) * wr
             term *= wc
             v += term
-        if any_off:
-            np.copyto(v, fills, where=off)
+        np.copyto(v, fills, where=~inside)
     return out
 
 
@@ -306,7 +287,7 @@ def linear_bins(pos, n: int, wrap: bool = False):
     else:
         hi = lo + 1
         for idx, w in ((lo, w_lo), (hi, w_hi)):
-            off = idx.view(np.uint64) >= int(n)  # a negative index reads as huge
+            off = (idx < 0) | (idx >= n)
             idx[off] = 0
             w[off] = 0.0
     return (lo, w_lo), (hi, w_hi)

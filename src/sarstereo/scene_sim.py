@@ -386,13 +386,13 @@ def render_sar(
     (taken on the block plus one halo row on each side, so it equals the
     full frame's, one-sided at the frame's edges), weighting, shadow,
     projection of the samples that carry energy, density and bins.  The DEM
-    and the reflectance, cast to float64 once per render, are sampled in one
+    and the reflectance, stacked once per render, are sampled in one
     bilinear call per block, on the halo rows: one computation of the
     corners serves both grids, and each sample keeps the bytes of its own
     grid's call.  soft_histogram takes the blocks one after another and
     adds them in sample order, so the image is the one a single splat of
     all samples gives, byte for byte, and memory is O(block + output)
-    instead of O(samples), plus the float64 copy of the two grids.
+    instead of O(samples), plus the stacked copy of the two grids.
     ValueError is raised unless the reflectance has the DEM's shape.
     Assumption: along an axis of the track frame that is one sample long
     the slope is taken as 0.
@@ -407,8 +407,8 @@ def render_sar(
     sub = grid.step / supersample
     du, dw, xy = _track_samples(grid, model, sub)
     ground = float(dem.samples.min())
-    # both grids in float64 once per render, sampled at one set of corners
-    surfaces = np.stack([dem.samples, reflectance.samples], dtype=float)
+    # both grids in one stack, sampled at one set of corners
+    surfaces = np.stack([dem.samples, reflectance.samples])
     z_s = float(model.position(model.t0)[2])
     vnorm = np.linalg.norm(model.v)
     # the look vector's horizontal squares; each block sums
@@ -439,10 +439,7 @@ def render_sar(
             # only samples that carry energy are projected: the rest, off
             # the DEM with fill reflectance 0 among them, would add +0.0
             lit = weight != 0
-            if lit.all():
-                ground_pts, weight = np.stack([x, y, h]).reshape(3, -1), weight.reshape(-1)
-            else:
-                ground_pts, weight = np.stack([x[lit], y[lit], h[lit]]), weight[lit]
+            ground_pts, weight = np.stack([x[lit], y[lit], h[lit]]), weight[lit]
             h = ground_pts[2]
             # (n, 3) rows of a (3, n) array: each coordinate is contiguous
             t, slant = sar_forward_array(model, ground_pts.T)
