@@ -43,7 +43,7 @@ are 1-cell calls of the same path, so they agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,10 +91,6 @@ class StereoConfig:
         if not 0.0 <= self.sigma_alpha_factor < np.inf:
             raise ValueError("sigma_alpha_factor must be finite and >= 0")
 
-    def scene(self) -> tuple[float, float, float, float, float, float]:
-        """(Xs, Zs, Xo, Zo, k, R) of the in-plane construction."""
-        return _scene(self.mode, self.theta, self.alpha, self.hs, self.ho, self.h)
-
 
 # alpha = 0 puts the optical sensor straight above the target, with no
 # viewing side; below this |alpha|, where sin(alpha)^2 underflows the normal
@@ -105,16 +101,6 @@ _ALPHA_MIN = float(np.sqrt(np.finfo(float).tiny))
 def _degenerate_alpha(alpha):
     """Whether alpha is 0 or so small that sin(alpha)^2 underflows."""
     return np.abs(alpha) < _ALPHA_MIN
-
-
-def _scene(mode, theta, alpha, hs, ho, h):
-    """(Xs, Zs, Xo, Zo, k, R) of the construction, broadcast over the inputs."""
-    sign = -1.0 if mode == OPPOSITE else 1.0
-    r = (hs - h) / np.cos(theta)
-    xs = r * np.sin(theta)
-    xo = sign * (ho - h) * np.tan(alpha)
-    k = sign / np.tan(alpha)
-    return xs, hs, xo, ho, k, r
 
 
 def _partials(mode, theta, alpha, ho, h):
@@ -145,16 +131,6 @@ def height_partials(cfg: StereoConfig) -> tuple[float, float]:
     return float(dh_dr), float(dh_dalpha)
 
 
-def intersection_point(cfg: StereoConfig) -> tuple[float, float]:
-    """The in-plane intersection, which by construction is the target (0, h).
-
-    Raises GlancingOrMiss where the ray grazes the range circle, which then
-    does not single the target out.
-    """
-    height_partials(cfg)
-    return 0.0, float(cfg.h)
-
-
 def normalized_height_accuracy(cfg: StereoConfig) -> float:
     """sigma_h / sigma_0 from variance propagation of the two measurements."""
     dh_dr, dh_dalpha = height_partials(cfg)
@@ -168,15 +144,9 @@ class AccuracyGrid:
     mode: str
     theta_deg: np.ndarray
     alpha_deg: np.ndarray
-    sigma_ratio: np.ndarray  # (n_theta, n_alpha); NaN where the ray grazes
+    sigma_ratio: np.ndarray  # (theta, alpha) cells; NaN where the ray grazes
     # or alpha has no viewing side
     flags: np.ndarray  # bool; ratio > SINGULAR_RATIO or NaN
-    n_theta: int = field(init=False)
-    n_alpha: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_theta", len(self.theta_deg))
-        object.__setattr__(self, "n_alpha", len(self.alpha_deg))
 
 
 def accuracy_grid(

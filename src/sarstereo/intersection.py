@@ -10,25 +10,20 @@ All residuals are made commensurable before weighting: the Doppler equation
 is scaled to meters (divided by |v|), then every component is divided by the
 standard deviation of its measurement.
 
-A solve makes no LAPACK call.  The terms fixed by the observations (the SAR
-position at the observed time, the Doppler row of the Jacobian and the
-reciprocal sigmas) are computed once per solve.  The symmetric 3x3 normal
-matrix N = J'J is built as its six unique entries and inverted by a
-closed-form Cholesky factorization; a non-finite N or J'r, or a
-non-positive pivot, is a SingularNormalMatrix.  The condition number is
-estimated as lambda_max(N) * lambda_max(N^-1), both largest eigenvalues in
-closed form (Smith, "Eigenvalues of a symmetric 3x3 matrix", CACM 1961):
-the closed-form largest root stays accurate when eigenvalues repeat, where
-the smallest root of a nearly rank-one N would not.
+A well-conditioned solve makes no LAPACK call.  The terms fixed by the
+observations (the SAR position at the observed time, the Doppler row of the
+Jacobian and the reciprocal sigmas) are computed once per solve.  The
+symmetric 3x3 normal matrix N = J'J is built as its six unique entries and
+inverted by a closed-form Cholesky factorization; a non-finite N or J'r, or
+a non-positive pivot, is a SingularNormalMatrix.  N is refused when its
+condition number lambda_max(N) * lambda_max(N^-1) exceeds 1e12.
 
 The eigenvalues are needed only near the limit.  For a symmetric positive
 definite N, lambda_max(N) <= tr(N) and lambda_max(N^-1) <= tr(N^-1), so
 cond(N) <= tr(N) * tr(N^-1), and N is accepted at once when that product is
-at most 1e12 / 2; the factor 2 covers the estimate's relative error of
-about 1e-8, so the screen accepts nothing the estimate would refuse.  Only
-the other matrices get the eigenvalue test, on copies of N and N^-1 scaled
-by 2^-e and 2^e (2^e about tr(N)), an exact scaling that keeps Smith's
-squares and cubes from overflowing or underflowing.
+at most 1e12 / 2; the factor 2 leaves room for the rounding of the
+eigenvalues, so the screen accepts nothing the eigenvalue test would refuse.
+Only the matrices the screen leaves get np.linalg.eigvalsh of N and N^-1.
 
 intersect raises ValueError before its first linearization unless tol is
 finite and > 0 and max_iterations is an integer >= 1; ObservationWeights
@@ -233,29 +228,6 @@ def _spd_inverse(normal: tuple) -> tuple:
     )
 
 
-def _largest_eigenvalue(a11, a12, a13, a22, a23, a33) -> float:
-    """Largest eigenvalue of a symmetric 3x3 matrix, in closed form.
-
-    With q = tr/3, p^2 = |A - qI|_F^2 / 6 and r = det(A - qI) / (2p^3), the
-    eigenvalues are q + 2p cos(acos(r)/3 + 2k pi/3) (Smith, CACM 1961).
-    The k = 0 root keeps about 1e-8 relative accuracy for any multiplicity:
-    near r = 1 (repeated smaller eigenvalues) the cosine is flat, and near
-    r = -1 (repeated largest) acos loses at most half the digits of r.
-    """
-    q = (a11 + a22 + a33) / 3.0
-    b11, b22, b33 = a11 - q, a22 - q, a33 - q
-    p2 = (b11 * b11 + b22 * b22 + b33 * b33
-          + 2.0 * (a12 * a12 + a13 * a13 + a23 * a23)) / 6.0
-    p3 = p2 * math.sqrt(p2)
-    if p3 == 0.0:  # a multiple of the identity
-        return q
-    half_det = 0.5 * (b11 * (b22 * b33 - a23 * a23)
-                      - a12 * (a12 * b33 - a23 * a13)
-                      + a13 * (a12 * a23 - b22 * a13))
-    r = min(max(half_det / p3, -1.0), 1.0)
-    return q + 2.0 * math.sqrt(p2) * math.cos(math.acos(r) / 3.0)
-
-
 def _conditioned_inverse(normal: tuple) -> tuple:
     """N^-1 (six entries) of a normal matrix whose condition number
     lambda_max(N) * lambda_max(N^-1) is at most 1e12.
@@ -268,13 +240,8 @@ def _conditioned_inverse(normal: tuple) -> tuple:
     trace = normal[0] + normal[3] + normal[5]
     if trace * (inverse[0] + inverse[3] + inverse[5]) <= _COND_LIMIT / 2:
         return inverse
-    # Smith's squares and cubes overflow or underflow far from unit scale;
-    # scaling N by 2^-e and N^-1 by 2^e is exact and leaves the product
-    # alone (e is clamped so that both factors are normal floats)
-    e = min(max(math.frexp(trace)[1], -1022), 1022)
-    s, t = math.ldexp(1.0, -e), math.ldexp(1.0, e)
-    cond = (_largest_eigenvalue(*(a * s for a in normal))
-            * _largest_eigenvalue(*(a * t for a in inverse)))
+    cond = (np.linalg.eigvalsh(_symmetric(normal))[-1]
+            * np.linalg.eigvalsh(_symmetric(inverse))[-1])
     if not cond <= _COND_LIMIT:
         raise SingularNormalMatrix(f"condition number exceeds {_COND_LIMIT:g}")
     return inverse
@@ -335,9 +302,9 @@ def intersect(
     (meters).  If no halving is accepted, it converges where it stands only
     when the undamped step is below tol, and raises NoConvergence otherwise.
 
-    The normal equations are solved in closed form, with no LAPACK call
-    (see the module docstring).  SingularNormalMatrix is raised when the
-    condition estimate of J'J exceeds 1e12; J'J is accepted without it when
+    The normal equations are solved in closed form (see the module
+    docstring).  SingularNormalMatrix is raised when the condition number
+    of J'J exceeds 1e12; J'J is accepted without eigenvalues when
     tr(J'J) * tr((J'J)^-1), an upper bound on the condition number, is at
     most 1e12 / 2.  It is also raised when the residuals, the
     Jacobian or J'J are not finite (at the SAR sensor position, say) or J'J

@@ -387,7 +387,15 @@ class GroundGrid:
 
 
 def to_db(raster: Raster) -> Raster:
-    """Convert amplitude/power samples to decibels, clamped below at DB_FLOOR."""
+    """Convert amplitude/power samples to decibels, clamped below at DB_FLOOR.
+
+    A finite sentinel can be a valid decibel value, so a raster with nodata
+    comes back with NaN at its invalid samples and nodata NaN.
+    """
     db = 10.0 * np.log10(np.maximum(raster.samples, DB_FLOOR))
-    return Raster(samples=db.astype(np.float32), nodata=raster.nodata,
+    nodata = raster.nodata
+    if nodata is not None:
+        db[~raster.valid_mask()] = np.nan
+        nodata = math.nan
+    return Raster(samples=db.astype(np.float32), nodata=nodata,
                   sidecar=dict(raster.sidecar))

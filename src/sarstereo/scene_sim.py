@@ -347,18 +347,15 @@ def _shadow_mask(w: np.ndarray, hg: np.ndarray, z_s: float) -> np.ndarray:
     """True where terrain is radar-shadowed, per zero-Doppler row of hg.
 
     Rows may run along any horizontal heading (a climbing track tilts them by
-    v_z / |v_xy|) and columns sit at cross-track offsets w from the track; a
-    cell is shadowed when a nearer cell subtends a larger off-nadir angle.
+    v_z / |v_xy|) and columns sit at ascending cross-track offsets w from the
+    track; a cell is shadowed when a cell between it and the track, on its
+    side of the track, subtends a larger off-nadir angle.
     """
-    dist = np.abs(w)
-    order = np.argsort(dist)
-    beta = np.arctan2(dist, z_s - hg)
-    beta_sorted = beta[:, order]
-    horizon = np.maximum.accumulate(beta_sorted, axis=1)
-    shadowed_sorted = beta_sorted < horizon - 1e-12
-    out = np.empty_like(shadowed_sorted)
-    out[:, order] = shadowed_sorted
-    return out
+    beta = np.arctan2(np.abs(w), z_s - hg)
+    track = np.searchsorted(w, 0.0)  # the first column at or past the track
+    left = np.maximum.accumulate(beta[:, :track][:, ::-1], axis=1)[:, ::-1]
+    right = np.maximum.accumulate(beta[:, track:], axis=1)
+    return beta < np.concatenate([left, right], axis=1) - 1e-12
 
 
 def render_sar(

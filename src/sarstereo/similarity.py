@@ -135,6 +135,8 @@ def ncc(i: Patch, j: Patch) -> SimilarityScore:
     if a.shape != b.shape:
         raise ValueError("patches must have equal sizes")
     n = a.size
+    if n == 1:
+        raise ConstantPatch("a one-sample patch has no variance")
     da = a - a.mean()
     db = b - b.mean()
     sa = np.sqrt(np.sum(da * da) / (n - 1))

@@ -14,10 +14,8 @@ from sarstereo.accuracy import (
     GlancingOrMiss,
     StereoConfig,
     _degenerate_alpha,
-    _scene,
     accuracy_grid,
     height_partials,
-    intersection_point,
     normalized_height_accuracy,
 )
 
@@ -35,6 +33,21 @@ def cfg_of(mode, theta_deg, alpha_deg, hs, ho, h=0.0, **kw):
         mode=mode, theta=theta_deg * D2R, alpha=alpha_deg * D2R,
         hs=hs, ho=ho, h=h, **kw,
     )
+
+
+def _scene(mode, theta, alpha, hs, ho, h):
+    """(Xs, Zs, Xo, Zo, k, R) of the in-plane construction of the accuracy
+    module docstring, broadcast over the inputs."""
+    sign = -1.0 if mode == OPPOSITE else 1.0
+    r = (hs - h) / np.cos(theta)
+    xs = r * np.sin(theta)
+    xo = sign * (ho - h) * np.tan(alpha)
+    k = sign / np.tan(alpha)
+    return xs, hs, xo, ho, k, r
+
+
+def scene_of(cfg):
+    return _scene(cfg.mode, cfg.theta, cfg.alpha, cfg.hs, cfg.ho, cfg.h)
 
 
 def _solve_ray_circle(xs, zs, xo, zo, k, r, z_ref, z_cap):
@@ -118,7 +131,7 @@ def fd_partials(cfg):
     opposite-side geometries, and the extrapolation removes the leading
     truncation term.
     """
-    xs, zs, xo, zo, k, r = cfg.scene()
+    xs, zs, xo, zo, k, r = scene_of(cfg)
     cap = min(cfg.hs, cfg.ho)
 
     def solve(rr, aa):
@@ -154,14 +167,16 @@ class TestIntersectionPoint:
     )
     def test_returns_nominal_target(self, mode, theta, alpha, hs, ho, h):
         cfg = cfg_of(mode, theta, alpha, hs, ho, h)
-        x, z = intersection_point(cfg)
+        xs, zs, xo, zo, k, r = scene_of(cfg)
+        x, z, miss = _solve_ray_circle(xs, zs, xo, zo, k, r, h, min(hs, ho))
+        assert not miss
         assert abs(x) < 1e-9
         assert abs(z - h) < 1e-9
 
     def test_satisfies_both_equations(self):
         cfg = cfg_of(SAME, 33.0, 10.3, 515e3, 770e3)
-        xs, zs, xo, zo, k, r = cfg.scene()
-        x, z = intersection_point(cfg)
+        xs, zs, xo, zo, k, r = scene_of(cfg)
+        x, z, _ = _solve_ray_circle(xs, zs, xo, zo, k, r, cfg.h, min(cfg.hs, cfg.ho))
         assert abs(np.hypot(xs - x, zs - z) - r) < 1e-9
         # perpendicular distance to the projection ray
         assert abs((z - zo) - k * (x - xo)) / np.hypot(1.0, k) < 1e-9
@@ -169,13 +184,15 @@ class TestIntersectionPoint:
     def test_glancing_opposite_side(self):
         cfg = cfg_of(OPPOSITE, 54.0, 36.0, 760.0, 770e3)
         with pytest.raises(GlancingOrMiss):
-            intersection_point(cfg)
+            height_partials(cfg)
+        _, _, miss = oracle_partials(cfg.mode, cfg.theta, cfg.alpha, cfg.hs, cfg.ho, cfg.h)
+        assert miss
 
     def test_glancing_same_side_behind_target(self):
         # a negative alpha with theta - alpha = 90 deg grazes as well
         cfg = cfg_of(SAME, 45.0, -45.0, 515e3, 770e3)
         with pytest.raises(GlancingOrMiss):
-            intersection_point(cfg)
+            height_partials(cfg)
         _, _, miss = oracle_partials(cfg.mode, cfg.theta, cfg.alpha, cfg.hs, cfg.ho, cfg.h)
         assert miss
 
@@ -183,7 +200,7 @@ class TestIntersectionPoint:
         # same-side theta = alpha: the ray crosses the circle radially, so a
         # +1 m range perturbation moves z by about -cos(30 deg)
         cfg = cfg_of(SAME, 30.0, 30.0, 500e3, 740e3)
-        xs, zs, xo, zo, k, r = cfg.scene()
+        xs, zs, xo, zo, k, r = scene_of(cfg)
         _, z1, _ = _solve_ray_circle(xs, zs, xo, zo, k, r + 1.0, cfg.h,
                                      min(cfg.hs, cfg.ho))
         assert z1 - cfg.h == pytest.approx(-np.cos(30 * D2R), abs=1e-4)
@@ -341,7 +358,7 @@ class TestNormalizedAccuracy:
         n = 100_000
         sigma0 = 0.2
         for cfg in configs:
-            xs, zs, xo, zo, k, r = cfg.scene()
+            xs, zs, xo, zo, k, r = scene_of(cfg)
             analytic = normalized_height_accuracy(cfg) * sigma0
             rr = r + rng.normal(0.0, sigma0, n)
             aa = cfg.alpha + rng.normal(0.0, cfg.sigma_alpha_factor * sigma0, n)
@@ -394,7 +411,6 @@ class TestAccuracyGrid:
         assert isinstance(grid, AccuracyGrid)
         assert grid.sigma_ratio.shape == (8, 9)
         assert grid.flags.shape == (8, 9)
-        assert grid.n_theta == 8 and grid.n_alpha == 9
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

@@ -154,6 +154,17 @@ class TestRasterType:
         db = to_db(r)
         assert db.samples[0, 0] == pytest.approx(0.0)
         assert db.samples[0, 1] == pytest.approx(20.0)
+        assert db.nodata is None
+
+    @pytest.mark.parametrize("nodata", [0.0, -9999.0, np.nan])
+    def test_to_db_keeps_nodata_samples_invalid(self, nodata):
+        # 1.0 is 0 dB, a valid value that a finite sentinel 0.0 would flag
+        r = Raster(samples=np.array([[1.0, nodata, 100.0]], dtype=np.float32),
+                   nodata=nodata)
+        db = to_db(r)
+        assert np.isnan(db.nodata)
+        assert db.valid_mask().tolist() == [[True, False, True]]
+        assert db.samples[0, 0] == 0.0 and db.samples[0, 2] == pytest.approx(20.0)
 
 
 class TestGroundGrid:

@@ -717,13 +717,17 @@ class TestRenderSar:
             b = render_sar(dem_t, refl_t, sar_t, noise, sar_shape)
             assert a.samples.tobytes() == b.samples.tobytes()
 
-    @pytest.mark.parametrize("track", ["3", "30", "90", "180", "climbing"])
+    @pytest.mark.parametrize("track", ["3", "30", "90", "180", "climbing", "above"])
     def test_render_shadow_matches_blocked(self, track):
         spec = _city_spec(extent=(90.0, 40.0))
         dem, _ = make_scene(spec)
         sar, _, _, _ = canonical_scene_models(spec)
         if track == "climbing":
             sar = dataclasses.replace(sar, v=sar.v + np.array([0.0, 0.0, 0.5]))
+        elif track == "above":
+            # 500 m over the middle of the scene, between the 7 m and the
+            # 20.1 m roof: a roof shadows only its own side of the track
+            sar = dataclasses.replace(sar, s0=(45.0, sar.s0[1], 500.0))
         else:
             sar = _rotated_track(sar, float(track), (45.0, 20.0))
         (xg, yg, hg), shadowed = _render_shadow(dem, sar)
@@ -739,7 +743,7 @@ class TestRenderSar:
             for p in np.stack([xg.flat[pick], yg.flat[pick], hg.flat[pick]], axis=1)
         ]
         assert blocked == list(shadowed.flat[pick])
-        assert sum(blocked) >= 100
+        assert track == "above" or sum(blocked) >= 100
 
     def test_track_without_horizontal_velocity_raises(self, small_scene):
         spec, dem, refl, sar, opt, sar_shape, _ = small_scene

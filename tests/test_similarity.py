@@ -115,6 +115,10 @@ class TestNcc:
         with pytest.raises(ConstantPatch):
             ncc(textured, flat)
 
+    def test_one_sample_patch_raises(self):
+        with pytest.raises(ConstantPatch):
+            ncc(Patch(np.array([[1.0]])), Patch(np.array([[2.0]])))
+
 
 class TestNmi:
     def test_identical_images_give_two(self, textured):
