@@ -36,8 +36,11 @@ point where a numerical intersection of ray and circle can no longer tell
 a crossing from a tangency once the sensor offsets reach megameters.
 
 One broadcast path serves the grid and the scalar API: ``accuracy_grid``
-evaluates its whole (theta, alpha) mesh at once, and the scalar functions
-are 1-cell calls of the same path, so they agree bit for bit.
+passes theta as a column and alpha as a row, so sin(theta) is evaluated
+once per theta, cos(alpha) and the viewing-side test once per alpha, and
+only the coupled terms (c, the partials, the grazing test, the ratio and
+the flags) once per cell.  The scalar functions are 1-cell calls of the
+same path, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -181,12 +184,11 @@ def accuracy_grid(
                  h, sigma_alpha_factor)
     thetas = np.linspace(*theta_range_deg, steps[0])
     alphas = np.linspace(*alpha_range_deg, steps[1])
-    theta, alpha = np.meshgrid(np.deg2rad(thetas), np.deg2rad(alphas), indexing="ij")
-    dh_dr, dh_dalpha, graze = _partials(mode, theta, alpha, ho, h)
+    alpha = np.deg2rad(alphas)
+    dh_dr, dh_dalpha, graze = _partials(mode, np.deg2rad(thetas)[:, None], alpha, ho, h)
     no_side = _degenerate_alpha(alpha) | ((mode == OPPOSITE) & (alpha < 0.0))
-    ratio = np.where(
-        graze | no_side, np.nan, np.hypot(dh_dr, dh_dalpha * sigma_alpha_factor)
-    )
+    ratio = np.hypot(dh_dr, dh_dalpha * sigma_alpha_factor)
+    ratio[graze | no_side] = np.nan
     flags = np.isnan(ratio) | (ratio > SINGULAR_RATIO)
     return AccuracyGrid(
         mode=mode, theta_deg=thetas, alpha_deg=alphas,

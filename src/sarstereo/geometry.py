@@ -64,6 +64,13 @@ def _vec3(v) -> np.ndarray:
     return a
 
 
+def _check_finite(model, names) -> None:
+    """ValueError naming the first field of names that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(model, name)):
+            raise ValueError(f"{type(model).__name__} requires a finite {name}")
+
+
 @dataclass(frozen=True)
 class GroundPoint:
     """3D object coordinates in the local frame (meters)."""
@@ -128,6 +135,7 @@ class SarSensorModel:
     def __post_init__(self):
         object.__setattr__(self, "s0", _vec3(self.s0))
         object.__setattr__(self, "v", _vec3(self.v))
+        _check_finite(self, ("t0", "az_time_per_row", "r_near", "range_per_col"))
         if np.linalg.norm(self.v) <= 0:
             raise ValueError("SarSensorModel requires |v| > 0")
         if self.range_per_col <= 0:
@@ -169,6 +177,7 @@ class OpticalSensorModel:
 
     def __post_init__(self):
         object.__setattr__(self, "pc", _vec3(self.pc))
+        _check_finite(self, ("focal", "principal_row", "principal_col"))
         if not self.focal > 0:
             raise ValueError("OpticalSensorModel requires focal > 0")
         rot = rotation_from_angles(self.phi, self.omega, self.kappa)

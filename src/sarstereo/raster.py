@@ -5,8 +5,8 @@ The canonical on-disk format is `RFLT`: one ASCII header line
     RFLT <rows> <cols> <nodata|none>\n
 
 followed by row-major little-endian float32 samples.  Round trips are
-bit-exact.  16-bit (and 8-bit) binary PGM is accepted read-only.  A raster
-may carry a JSON sidecar (written next to it as <path>.json) holding sensor
+bit-exact, and RFLT is the only format read or written.  A raster may
+carry a JSON sidecar (written next to it as <path>.json) holding sensor
 models and a geotransform.
 
 Sampling and splatting: bilinear samples a grid, or a stack of same-shape
@@ -150,49 +150,12 @@ def _load_rflt(blob: bytes, path: Path) -> Raster:
     return Raster(samples=samples.copy(), nodata=nodata)
 
 
-def _load_pgm(blob: bytes, path: Path) -> Raster:
-    # binary PGM: P5 <cols> <rows> <maxval> followed by big-endian samples
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(blob) and blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise BadMagic(f"{path}: malformed PGM header")
-        tokens.append(blob[start:pos])
-    pos += 1  # single whitespace after maxval
-    try:
-        cols, rows, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise BadMagic(f"{path}: non-integer PGM header") from exc
-    if not 1 <= maxval <= 65535:
-        raise BadMagic(f"{path}: PGM maxval {maxval} outside 1..65535")
-    _check_dimensions(rows, cols, path)
-    dtype = ">u2" if maxval > 255 else "u1"
-    expected = rows * cols * (2 if maxval > 255 else 1)
-    payload = blob[pos : pos + expected]
-    if len(payload) < expected:
-        raise TruncatedPayload(f"{path}: truncated PGM payload")
-    samples = np.frombuffer(payload, dtype=dtype).reshape(rows, cols)
-    return Raster(samples=samples.astype(np.float32))
-
-
 def load_raster(path) -> Raster:
     path = Path(path)
     blob = path.read_bytes()
-    if blob.startswith(b"RFLT"):
-        raster = _load_rflt(blob, path)
-    elif blob.startswith(b"P5"):
-        raster = _load_pgm(blob, path)
-    else:
+    if not blob.startswith(b"RFLT"):
         raise BadMagic(f"{path}: unknown format signature {blob[:4]!r}")
+    raster = _load_rflt(blob, path)
     sidecar_path = path.with_name(path.name + ".json")
     if sidecar_path.exists():
         raster.sidecar = json.loads(sidecar_path.read_text())

@@ -70,6 +70,12 @@ class Building:
             raise ValueError("building height must be finite and > 0")
 
 
+def _check_seed(name: str, seed) -> None:
+    """ValueError unless seed is an integer >= 0, as numpy's generators take."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     extent: tuple[float, float] = (500.0, 500.0)
@@ -85,6 +91,7 @@ class SceneSpec:
             raise ValueError("extent and gsd must be finite and positive")
         if not (math.isfinite(self.ground_height) and math.isfinite(self.texture_contrast)):
             raise ValueError("ground_height and texture_contrast must be finite")
+        _check_seed("texture_seed", self.texture_seed)
         if min(self.shape) < 1:
             raise ValueError(f"extent {self.extent} at gsd {self.gsd} has no grid cell")
         for b in self.buildings:
@@ -111,6 +118,8 @@ class RenderNoise:
             raise ValueError("optical_sigma must be finite and >= 0")
         if self.speckle_looks is not None and not 1 <= self.speckle_looks < math.inf:
             raise ValueError("speckle_looks must be None or finite and >= 1")
+        # the renderers draw from seed + 1 and seed + 2
+        _check_seed("seed", self.seed)
 
 
 def make_scene(spec: SceneSpec) -> tuple[Raster, Raster]:

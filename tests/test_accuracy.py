@@ -121,6 +121,32 @@ def oracle_grid(mode, theta_range_deg, alpha_range_deg, steps, hs, ho, h=0.0,
     return ratio, np.isnan(ratio) | (ratio > SINGULAR_RATIO)
 
 
+def mesh_grid(mode, theta_range_deg, alpha_range_deg, steps, hs, ho, h=0.0,
+              sigma_alpha_factor=1e-6):
+    """(theta_deg, alpha_deg, sigma_ratio, flags) as accuracy_grid evaluated
+    them on the full (theta, alpha) mesh, kept verbatim as the byte oracle
+    of its per-axis evaluation; hs is only validated there."""
+    thetas = np.linspace(*theta_range_deg, steps[0])
+    alphas = np.linspace(*alpha_range_deg, steps[1])
+    theta, alpha = np.meshgrid(np.deg2rad(thetas), np.deg2rad(alphas), indexing="ij")
+    dh_dr, dh_dalpha, graze = accuracy._partials(mode, theta, alpha, ho, h)
+    no_side = _degenerate_alpha(alpha) | ((mode == OPPOSITE) & (alpha < 0.0))
+    ratio = np.where(
+        graze | no_side, np.nan, np.hypot(dh_dr, dh_dalpha * sigma_alpha_factor)
+    )
+    flags = np.isnan(ratio) | (ratio > SINGULAR_RATIO)
+    return thetas, alphas, ratio, flags
+
+
+def assert_mesh_bytes(grid, job):
+    """All four output arrays of grid equal mesh_grid's, byte for byte."""
+    got = (grid.theta_deg, grid.alpha_deg, grid.sigma_ratio, grid.flags)
+    for name, a, b in zip(("theta_deg", "alpha_deg", "sigma_ratio", "flags"),
+                          got, mesh_grid(**job)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
 def fd_partials(cfg):
     """Richardson-extrapolated central differences through the intersection.
 
@@ -519,6 +545,34 @@ class TestGridEqualsScalarOp:
                 # is rejected by StereoConfig and flagged by the grid
                 assert np.array_equal(grid.sigma_ratio[i, j], expected, equal_nan=True)
                 assert grid.flags[i, j] == (np.isnan(expected) or expected > SINGULAR_RATIO)
+
+
+class TestGridEqualsMeshEvaluation:
+    """The per-axis evaluation against the full-mesh one, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_inputs(), st.sampled_from([0.0, 1e-6, 3e-5]))
+    def test_random_grids(self, job, factor):
+        job = dict(job, sigma_alpha_factor=factor)
+        assert_mesh_bytes(accuracy_grid(**job), job)
+
+    # the benchmark's four grid jobs, hs and ho from its ranges
+    # (480-520 km, 600-800 km)
+    @pytest.mark.parametrize("mode", [OPPOSITE, SAME])
+    @pytest.mark.parametrize("thetas", BENCH_THETAS)
+    @pytest.mark.parametrize("hs, ho", [(480e3, 600e3), (500e3, 700e3), (520e3, 800e3),
+                                        (493.7e3, 612.9e3)])
+    def test_benchmark_grids(self, mode, thetas, hs, ho):
+        job = dict(mode=mode, theta_range_deg=thetas, alpha_range_deg=BENCH_ALPHA,
+                   steps=BENCH_STEPS, hs=hs, ho=ho)
+        assert_mesh_bytes(accuracy_grid(**job), job)
+
+    def test_benchmark_grid_across_tangency_is_flagged_not_raised(self):
+        # the opposite-side 40.4-60 deg grid crosses theta + alpha = 90 deg
+        grid = accuracy_grid(OPPOSITE, BENCH_THETAS[1], BENCH_ALPHA, BENCH_STEPS,
+                             500e3, 700e3)
+        assert grid.flags.sum() == 277
+        assert 3668.0 < np.nanmax(grid.sigma_ratio) < 3669.0
 
 
 class TestConfigValidation:

@@ -314,6 +314,27 @@ class TestSerialization:
         with pytest.raises(ValueError):
             SarSensorModel(s0=(0, 0, 0), v=(1, 0, 0), range_per_col=0.0)
 
+    # NaN passed the <= 0 and == 0 tests, and nothing bounded the others
+    @pytest.mark.parametrize("cls, name, value", [
+        (SarSensorModel, "t0", np.nan),
+        (SarSensorModel, "az_time_per_row", np.inf),
+        (SarSensorModel, "r_near", np.inf),
+        (SarSensorModel, "range_per_col", np.nan),
+        (OpticalSensorModel, "focal", np.inf),
+        (OpticalSensorModel, "principal_row", np.nan),
+        (OpticalSensorModel, "principal_col", np.inf),
+    ])
+    def test_non_finite_fields_rejected(self, cls, name, value):
+        base = (dict(s0=(0, 0, 700e3), v=(0, 7500.0, 0)) if cls is SarSensorModel
+                else dict(pc=(0, 0, 100.0)))
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            cls(**base, **{name: value})
+        # a sidecar carrying the value is rejected the same way
+        sidecar = model_to_sidecar(cls(**base))
+        next(iter(sidecar.values()))[name] = value
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            model_from_sidecar(sidecar)
+
 
 class TestValueTypes:
     """Coordinates and angles are checked one real number at a time."""

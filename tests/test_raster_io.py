@@ -1,4 +1,4 @@
-"""Tests for the raster container and RFLT / PGM formats."""
+"""Tests for the raster container and the RFLT format."""
 
 import numpy as np
 import pytest
@@ -53,6 +53,13 @@ class TestRflt:
         with pytest.raises(BadMagic):
             load_raster(path)
 
+    def test_pgm_is_bad_magic(self, tmp_path):
+        # RFLT is the only format read; a binary PGM is refused by its signature
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5 4 3 65535\n" + b"\x00" * 24)
+        with pytest.raises(BadMagic, match="P5"):
+            load_raster(path)
+
     def test_non_numeric_nodata_is_bad_magic(self, tmp_path):
         path = tmp_path / "bad_nodata.rflt"
         path.write_bytes(b"RFLT 1 1 abc\n" + b"\x00" * 4)
@@ -99,36 +106,6 @@ class TestRflt:
         save_raster(Raster(samples=np.zeros((2, 2), dtype=np.float32)), path)
         assert not (tmp_path / "geo.rflt.json").exists()
         assert load_raster(path).sidecar == {}
-
-
-class TestPgm:
-    def test_16bit_pgm(self, tmp_path):
-        samples = (np.arange(12).reshape(3, 4) * 1000).astype(">u2")
-        path = tmp_path / "img.pgm"
-        path.write_bytes(b"P5 4 3 65535\n" + samples.tobytes())
-        r = load_raster(path)
-        assert r.samples.shape == (3, 4)
-        assert r.samples[2, 3] == 11000.0
-
-    def test_8bit_pgm_with_comment(self, tmp_path):
-        samples = np.arange(6, dtype="u1").reshape(2, 3)
-        path = tmp_path / "img8.pgm"
-        path.write_bytes(b"P5\n# comment\n3 2\n255\n" + samples.tobytes())
-        r = load_raster(path)
-        assert r.samples[1, 2] == 5.0
-
-    @pytest.mark.parametrize("maxval", [b"0", b"-5", b"70000"])
-    def test_maxval_out_of_range_is_bad_magic(self, tmp_path, maxval):
-        path = tmp_path / "m.pgm"
-        path.write_bytes(b"P5 2 2 " + maxval + b"\n" + b"\x00" * 8)
-        with pytest.raises(BadMagic):
-            load_raster(path)
-
-    def test_truncated_pgm(self, tmp_path):
-        path = tmp_path / "t.pgm"
-        path.write_bytes(b"P5 4 4 65535\n" + b"\x00" * 5)
-        with pytest.raises(TruncatedPayload):
-            load_raster(path)
 
 
 class TestRasterType:

@@ -85,6 +85,19 @@ class TestMakeScene:
         assert a_dem.samples.tobytes() == b_dem.samples.tobytes()
         assert a_refl.samples.tobytes() == b_refl.samples.tobytes()
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, None, True, "3"])
+    def test_rejects_texture_seed_that_is_not_an_integer_from_0(self, seed):
+        # -1 failed later, inside make_scene's generator, and 2.5 with a TypeError
+        with pytest.raises(ValueError, match="texture_seed"):
+            SceneSpec(extent=(50.0, 40.0), texture_seed=seed)
+
+    def test_numpy_integer_texture_seed_is_the_int(self):
+        dem, refl = make_scene(SceneSpec(extent=(30, 20), texture_seed=3))
+        for seed in (np.int64(3), np.uint8(3)):
+            a_dem, a_refl = make_scene(SceneSpec(extent=(30, 20), texture_seed=seed))
+            assert a_dem.samples.tobytes() == dem.samples.tobytes()
+            assert a_refl.samples.tobytes() == refl.samples.tobytes()
+
     def test_building_outside_extent_rejected(self):
         with pytest.raises(ValueError):
             SceneSpec(extent=(50, 50),
@@ -121,16 +134,19 @@ class TestRenderNoise:
         {"optical_sigma": np.nan}, {"optical_sigma": np.inf}, {"optical_sigma": -1.0},
         {"speckle_looks": np.inf}, {"speckle_looks": np.nan}, {"speckle_looks": 0},
         {"speckle_looks": 0.5},
+        {"seed": -5}, {"seed": 2.5}, {"seed": None}, {"seed": True}, {"seed": "3"},
     ])
     def test_rejects_non_finite_or_out_of_range_settings(self, kwargs):
         # a NaN sigma meant no noise, an infinite one an image with no
-        # finite sample, and infinite or NaN looks an all-NaN SAR image
+        # finite sample, and infinite or NaN looks an all-NaN SAR image;
+        # a seed of -5 failed inside a renderer's generator, 2.5 with a TypeError
         with pytest.raises(ValueError):
             RenderNoise(**kwargs)
 
     def test_accepts_finite_settings(self):
         for kwargs in ({}, {"optical_sigma": 0.0, "speckle_looks": 1},
-                       {"optical_sigma": 2.5, "speckle_looks": 4.5}, {"speckle_looks": None}):
+                       {"optical_sigma": 2.5, "speckle_looks": 4.5}, {"speckle_looks": None},
+                       {"seed": np.int64(7)}, {"seed": np.uint32(2**31)}):
             RenderNoise(**kwargs)
 
 
