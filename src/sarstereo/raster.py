@@ -11,9 +11,18 @@ models and a geotransform.
 
 Sampling and splatting: bilinear samples a grid, or a stack of same-shape
 grids, at fractional positions, and soft_histogram is its adjoint, fed by
-linear_bins.  A stack's grids share one computation of the corners,
-fractions and off-grid mask per block of positions; render_sar samples the
-DEM and the reflectance that way.
+linear_bins.  bilinear is built from three steps that callers may also
+take on their own: bilinear_axis (each axis's in-grid mask, first corner
+and fraction), bilinear_corners (the four corner values) and bilinear_sum
+(the corners' weighted sum, stated here only).  A stack's grids share one
+computation of the corners, fractions and off-grid mask per block of
+positions; render_sar samples the DEM and the reflectance that way.
+Positions given as a column against a row get their axis terms once per
+row and once per column; render_sar's track along a grid axis gives such
+positions.  A caller that knows its positions stay in one cell gathers the
+corners once and calls bilinear_sum alone; render_optical's bisection does.
+Each path takes the same steps on the same values, so every one gives the
+bytes of sampling each position on its own.
 """
 
 from __future__ import annotations
@@ -172,58 +181,136 @@ def bilinear(samples: np.ndarray, r, c, fill) -> np.ndarray:
     included, return fill.  A grid of one row or one column interpolates
     along the other axis only.
 
-    The positions are taken BILINEAR_BLOCK at a time into one preallocated
-    output.  Each block's temporaries are at most 64 KiB per grid, small
-    enough for the allocator to reuse its own free memory instead of mapping
-    fresh pages for every full-size temporary.  A block's corner indices,
-    fractions and off-grid mask are computed once and serve every grid of
-    the stack.  Each value is the same sum of the four corners, in the same
-    order, as an unblocked evaluation of its grid alone.
+    Each axis's in-grid test, first corner and fraction come from
+    bilinear_axis, the corner values from bilinear_corners and the value
+    from bilinear_sum.  Where r and c are a column against a row, (n, 1)
+    against (1, m) or (1, m) against (n, 1), every position of an output
+    row shares one value of the column and every position of an output
+    column one value of the row, so the axis terms are computed once per
+    row and once per column, and per position only the gathers and the
+    weighted sum.  The off-grid positions are then whole output rows and
+    columns, and only those are written with fill.  Any other positions are
+    taken BILINEAR_BLOCK at a time, each block's axis terms computed for
+    its own positions.  Either way the output is preallocated and filled in
+    blocks of at most BILINEAR_BLOCK positions, whose temporaries are at
+    most 64 KiB per grid, small enough for the allocator to reuse its own
+    free memory instead of mapping fresh pages for every full-size
+    temporary.  A block's corners serve every grid of the stack.  Each
+    position's axis terms are the values it would get on its own, and its
+    value the same sum of the four corners, in the same order, so every
+    path gives the bytes of an unblocked evaluation of each grid alone.
     """
-    samples = np.asarray(samples)
+    # contiguous, so each block's bilinear_corners flattens it as a view
+    samples = np.ascontiguousarray(samples)
     if samples.ndim not in (2, 3):
         raise ValueError(f"samples must be one grid or a stack of grids, got {samples.ndim}D")
     *stack, rows, cols = samples.shape
     fills = np.asarray(fill, dtype=float)
     if fills.size != math.prod(stack):
         raise ValueError(f"need one fill per grid, got {fills.size} for {math.prod(stack)}")
-    # flat grids and their fills, one row each in a stack; one grid stays
-    # 1-D, where numpy's loops have the least overhead
-    grids = samples.reshape(*stack, rows * cols)
-    fills = fills.reshape(*stack, 1)
-    r, c = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(c, dtype=float))
-    out = np.empty((*stack, *r.shape), dtype=np.result_type(samples.dtype, float))
-    # the second corner's flat offset along each axis; a grid of one row or
-    # one column has only the first
-    dr = cols if rows > 1 else 0
-    dc = 1 if cols > 1 else 0
+    r, c = np.asarray(r, dtype=float), np.asarray(c, dtype=float)
+    column_row = (r.ndim == c.ndim == 2
+                  and 1 in (r.shape[1] * c.shape[0], r.shape[0] * c.shape[1]))
+    if not column_row and r.shape != c.shape:
+        r, c = np.broadcast_arrays(r, c)
+    out = np.empty((*stack, *np.broadcast(r, c).shape),
+                   dtype=np.result_type(samples.dtype, float))
+
+    if column_row:
+        # a column of positions against a row, taken in tiles of whole rows
+        # of the output, or of BILINEAR_BLOCK positions of one row
+        swap = r.shape[1] > 1 or c.shape[0] > 1  # c the column and r the row
+        n, m = out.shape[-2:]
+        col_axis = bilinear_axis(c if swap else r, cols if swap else rows)
+        row_axis = bilinear_axis(r if swap else c, rows if swap else cols)
+        fills = fills.reshape(*stack, 1, 1)
+        tile_rows = max(1, BILINEAR_BLOCK // max(m, 1))
+        for i in range(0, n, tile_rows):
+            for j in range(0, m, BILINEAR_BLOCK):
+                col_in, *col_terms = (a[i:i + tile_rows] for a in col_axis)
+                row_in, *row_terms = (a[:, j:j + BILINEAR_BLOCK] for a in row_axis)
+                (r0, fr), (c0, fc) = (row_terms, col_terms) if swap else (col_terms, row_terms)
+                v = out[..., i:i + tile_rows, j:j + BILINEAR_BLOCK]
+                bilinear_sum(bilinear_corners(samples, r0, c0), fr, fc, out=v)
+                # off the grid are whole output rows and whole output columns
+                v[..., ~col_in[:, 0], :] = fills
+                v[..., ~row_in[0]] = fills
+        return out
     r_flat, c_flat = r.reshape(-1), c.reshape(-1)
     out_flat = out.reshape(*stack, -1)
+    fills = fills.reshape(*stack, 1)
     for lo in range(0, r_flat.size, BILINEAR_BLOCK):
-        rb = r_flat[lo:lo + BILINEAR_BLOCK]
-        cb = c_flat[lo:lo + BILINEAR_BLOCK]
-        inside = (rb >= 0) & (rb <= rows - 1) & (cb >= 0) & (cb <= cols - 1)
-        # any in-grid index will do for the positions that get fill
-        fr = np.where(inside, rb, 0.0)
-        fc = np.where(inside, cb, 0.0)
-        r0 = np.minimum(fr.astype(int), max(rows - 2, 0))
-        c0 = np.minimum(fc.astype(int), max(cols - 2, 0))
-        fr -= r0
-        fc -= c0
-        gr = 1 - fr
-        gc = 1 - fc
-        i00 = r0 * cols
-        i00 += c0
-        del r0, c0
-        v = out_flat[..., lo:lo + BILINEAR_BLOCK]
-        np.multiply(grids.take(i00, axis=-1), gr, out=v)
-        v *= gc
-        for offset, wr, wc in ((dr, fr, gc), (dc, gr, fc), (dr + dc, fr, fc)):
-            term = grids.take(i00 + offset, axis=-1) * wr
-            term *= wc
-            v += term
-        np.copyto(v, fills, where=~inside)
+        block = slice(lo, lo + BILINEAR_BLOCK)
+        r_in, r0, fr = bilinear_axis(r_flat[block], rows)
+        c_in, c0, fc = bilinear_axis(c_flat[block], cols)
+        v = out_flat[..., block]
+        bilinear_sum(bilinear_corners(samples, r0, c0), fr, fc, out=v)
+        np.copyto(v, fills, where=~(r_in & c_in))
     return out
+
+
+def bilinear_axis(pos: np.ndarray, n: int):
+    """One axis of bilinear: for positions along an axis of n samples, the
+    in-grid mask, the first corner and the fraction past it.
+
+    A position off [0, n - 1], NaN included, gets corner 0 and fraction 0,
+    so its corners stay valid indices.  The first corner is at most n - 2,
+    so the last sample is the second corner at fraction 1; on an axis of one
+    sample it is 0.
+    """
+    inside = (pos >= 0) & (pos <= n - 1)
+    frac = np.where(inside, pos, 0.0)
+    first = np.minimum(frac.astype(int), max(n - 2, 0))
+    frac -= first
+    return inside, first, frac
+
+
+def bilinear_corners(samples: np.ndarray, r0: np.ndarray, c0: np.ndarray):
+    """The values of a grid, or a stack of grids, at the four corners of
+    the cells whose first corners are (r0, c0), which broadcast.
+
+    Yields one array at a time, in bilinear_sum's order: (r0, c0),
+    (r0 + 1, c0), (r0, c0 + 1) and (r0 + 1, c0 + 1).  A grid of one row or
+    one column has only the first corner along that axis.  For a column r0
+    (n, 1) against a row c0 (1, m) with m at least the grid's columns, the
+    two grid rows each output row touches are copied once, as float64,
+    which every product with a float64 weight takes anyway, and the corners
+    are taken from them by column.
+    """
+    *stack, rows, cols = samples.shape
+    dr = 1 if rows > 1 else 0
+    dc = 1 if cols > 1 else 0
+    if r0.ndim == c0.ndim == 2 and r0.shape[1] == c0.shape[0] == 1 and c0.shape[1] >= cols:
+        lines = [samples[..., r0[:, 0] + k if k else r0[:, 0], :].astype(float, copy=False)
+                 for k in (0, dr)]
+        for k in (0, dc):
+            for line in lines:
+                yield line.take(c0[0] + k if k else c0[0], axis=-1)
+        return
+    grids = samples.reshape(*stack, rows * cols)
+    first = r0 * cols + c0
+    for offset in (0, dr * cols, dc, dr * cols + dc):
+        yield grids.take(first + offset if offset else first, axis=-1)
+
+
+def bilinear_sum(corners, fr, fc, out=None) -> np.ndarray:
+    """Bilinear's weighted sum of four corner values at fractions fr, fc.
+
+    corners holds the values in bilinear_corners' order, and fr and fc
+    broadcast against them.  With gr = 1 - fr and gc = 1 - fc the value is
+    ((v00 gr) gc + (v10 fr) gc) + (v01 gr) fc + (v11 fr) fc, each product
+    and sum in this order, so the sum over corners gathered once gives the
+    bytes bilinear gives at the same fractions.  Written into out if given.
+    """
+    corners = iter(corners)
+    gr, gc = 1 - fr, 1 - fc
+    v = np.multiply(next(corners), gr, out=out)
+    v *= gc
+    for value, wr, wc in zip(corners, (fr, gr, fr), (gc, fc, fc)):
+        term = value * wr
+        term *= wc
+        v += term
+    return v
 
 
 def linear_bins(pos, n: int, wrap: bool = False):

@@ -36,6 +36,9 @@ from sarstereo.raster import (
     GroundGrid,
     Raster,
     bilinear,
+    bilinear_axis,
+    bilinear_corners,
+    bilinear_sum,
     linear_bins,
     soft_histogram,
 )
@@ -123,20 +126,25 @@ class RenderNoise:
 
 
 def make_scene(spec: SceneSpec) -> tuple[Raster, Raster]:
-    """DEM (ground plane plus extruded boxes) and shared reflectance."""
+    """DEM (ground plane plus extruded boxes) and shared reflectance.
+
+    A building covers the cells whose centre (x, y) has x0 <= x < x1 and
+    y0 <= y < y1.  The centres ascend along each axis, so these are one
+    range of columns and one of rows, found by binary search.
+    """
     rows, cols = spec.shape
     g = spec.gsd
     dem = np.full((rows, cols), spec.ground_height, dtype=float)
     x = (np.arange(cols) + 0.5) * g
     y = (np.arange(rows) + 0.5) * g
-    xg, yg = np.meshgrid(x, y)
     rng = np.random.default_rng(spec.texture_seed)
     base = gaussian_filter(rng.standard_normal((rows, cols)), TEXTURE_SMOOTHNESS)
     base = (base - base.min()) / (base.max() - base.min() + 1e-30)
     refl = 1.0 + spec.texture_contrast * (base - 0.5)
     for b in spec.buildings:
         x0, y0, x1, y1 = b.rect
-        inside = (xg >= x0) & (xg < x1) & (yg >= y0) & (yg < y1)
+        inside = tuple(slice(*np.searchsorted(centres, ends))
+                       for centres, ends in ((y, (y0, y1)), (x, (x0, x1))))
         dem[inside] = spec.ground_height + b.height
         # distinct roof albedo so building corners carry image structure
         gain = 0.55 + 0.9 * rng.random()
@@ -215,12 +223,24 @@ def render_optical(
     surface (hi halves toward lo) is computed once per level.  A ray whose
     bound lies below that path's last and least mid takes the path's
     result; only the others run the 22 halvings, on compact arrays, and are
-    sampled where their bound reaches the mid.  Every sample still taken is
-    computed as in the full-frame march, and every one skipped would have
-    given the branch taken, so the image is the one the full-frame march
-    renders, bit for bit.  ValueError is raised unless shape is two
-    integers >= 1, and SceneNotVisible when the camera does not look down
-    or when no downward ray's box overlaps the DEM.
+    sampled where their bound reaches the mid.
+
+    Every mid a ray's bisection can reach lies between that least mid and
+    the last mid of the path always found below (lo halves toward hi), also
+    computed once per level, since each rounded mid is monotone in the
+    bracket's ends.  The ray's position is monotone in height, so a ray
+    whose positions at those two mids share one grid cell, as bilinear_axis
+    takes it, is in that cell at every mid.  Such a ray gathers its four
+    DEM corners once, and each halving computes its position, its fractions
+    and bilinear_sum of the corners, which are bilinear's own steps on the
+    same values.  Only the other rays are sampled by bilinear.
+
+    Every sample still taken is computed as in the full-frame march, and
+    every one skipped would have given the branch taken, so the image is
+    the one the full-frame march renders, bit for bit.  ValueError is
+    raised unless shape is two integers >= 1, and SceneNotVisible when the
+    camera does not look down or when no downward ray's box overlaps the
+    DEM.
     """
     if not (np.shape(shape) == (2,)
             and all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape)):
@@ -240,7 +260,9 @@ def render_optical(
         raise SceneNotVisible("camera does not look downward")
 
     def cell_at(idx, h):
-        p = ray_at_height(model.pc, w[idx], h)
+        # the rays' directions keep each component contiguous, as opt_ray
+        # lays them out, so per-ray arithmetic runs along rows, not triples
+        p = ray_at_height(model.pc, w.T[:, idx].T, h)
         return grid.cell_of(p[:, 0], p[:, 1])
 
     def surface_at(idx, h):
@@ -295,25 +317,68 @@ def render_optical(
     lo_at = np.append(heights, ground)
     hi_at = np.concatenate([heights[:1], heights[:-1], [ground]])
     halvings = 22
-    # a ray never found below the surface halves hi toward lo; mid_at ends
-    # at the last and least mid of that path
-    mid_at = hi_at
+    # a ray never found below the surface halves hi toward lo, and one
+    # always found below halves lo toward hi; every mid of a ray's bisection
+    # lies between the last mids of these two paths, least and most
+    least, most = hi_at, lo_at
     for _ in range(halvings):
-        mid_at = (lo_at + mid_at) * 0.5
-    height = (0.5 * (lo_at + mid_at))[level]
-    # a ray whose bound lies below that last mid is never sampled
-    decide = np.flatnonzero(bound >= mid_at[level])
-    lo, hi = lo_at[level[decide]], hi_at[level[decide]]
-    bound = bound[decide]
-    for _ in range(halvings):
-        mid = (lo + hi) * 0.5
-        idx = np.flatnonzero(bound >= mid)
+        least = (lo_at + least) * 0.5
+        most = (most + hi_at) * 0.5
+    height = (0.5 * (lo_at + least))[level]
+    # a ray whose bound lies below the least mid is never sampled
+    decide = np.flatnonzero(bound >= least[level])
+    # a ray in the same grid cell at its least and its most mid is in it at
+    # every mid, since its position is monotone in height
+    ends = [[bilinear_axis(pos, n) for pos, n in zip(cell_at(decide, mids[level[decide]]),
+                                                     z.shape)]
+            for mids in (least, most)]
+    fixed = np.ones(decide.size, dtype=bool)
+    for (in_least, at_least, _), (in_most, at_most, _) in zip(*ends):
+        fixed &= in_least & in_most & (at_least == at_most)
+
+    def bisect(rays, below_at):
+        """Halve the brackets of rays, below_at(mid, sampled) telling which
+        rays are below the surface at mid; sampled marks the rays whose bound
+        reaches mid, the others are not below."""
+        if not rays.size:
+            return
+        lo, hi = lo_at[level[rays]], hi_at[level[rays]]
+        ray_bound = bound[rays]
+        for _ in range(halvings):
+            mid = (lo + hi) * 0.5
+            below = below_at(mid, ray_bound >= mid)
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        height[rays] = 0.5 * (lo + hi)
+
+    # a ray that keeps its cell gathers its four DEM corners once, as
+    # float64 as the products take them, and each halving takes only its
+    # fractions and the corners' weighted sum
+    in_cell = decide[fixed]
+    w_cell = w.T[:, in_cell].T
+    r0, c0 = (first[fixed] for _, first, _ in ends[0])
+    corners = tuple(v.astype(float) for v in bilinear_corners(z, r0, c0))
+    r0, c0 = r0.astype(float), c0.astype(float)
+
+    def cell_below(mid, sampled):
+        p = ray_at_height(model.pc, w_cell, mid)
+        r, c = grid.cell_of(p[:, 0], p[:, 1])
+        r -= r0
+        c -= c0
+        return sampled & (bilinear_sum(corners, r, c) >= mid)
+
+    # any other ray is sampled by bilinear where its bound reaches the mid
+    moving = decide[~fixed]
+
+    def moving_below(mid, sampled):
+        idx = np.flatnonzero(sampled)
         at = mid[idx]
-        below = np.zeros(decide.size, dtype=bool)
-        below[idx] = surface_at(decide[idx], at) >= at
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    height[decide] = 0.5 * (lo + hi)
+        below = np.zeros(moving.size, dtype=bool)
+        below[idx] = surface_at(moving[idx], at) >= at
+        return below
+
+    bisect(in_cell, cell_below)
+    bisect(moving, moving_below)
     p = ray_at_height(model.pc, w, height)
     img = bilinear(reflectance.samples, *grid.cell_of(p[:, 0], p[:, 1]),
                    float(reflectance.samples.mean())).reshape(shape)
@@ -326,13 +391,17 @@ def render_optical(
     )
 
 
-def _track_samples(grid: GroundGrid, model: SarSensorModel, sub: float):
+def _track_lines(grid: GroundGrid, model: SarSensorModel, sub: float):
     """Samples at spacing sub over the DEM's bounding box in the track frame.
 
     Rows run along u_hat = v_xy / |v_xy|, one zero-Doppler line each, and
     columns along w_hat = (u_hat_y, -u_hat_x).  Returns the rows' and the
-    columns' 1-D offsets u and w from the sensor at t0, and xy(rows), the
-    world x and y of the samples of a slice of rows.
+    columns' 1-D offsets u and w from the sensor at t0, and lines(rows), the
+    world x and y of the samples of a slice of rows as arrays that broadcast
+    to the slice's (rows, columns) shape.  Each coordinate is the sum of a
+    column u * u_hat_k and a row w * w_hat_k.  On a track along a grid axis,
+    v_x or v_y exactly 0, one of the two is all zeros, and _sum_of_lines
+    keeps the coordinate a column or a row.
     """
     vx, vy = model.v[:2]
     speed = np.hypot(vx, vy)
@@ -346,10 +415,35 @@ def _track_samples(grid: GroundGrid, model: SarSensorModel, sub: float):
             for e in (corners @ frame).T)
     s_u, s_w = model.position(model.t0)[:2] @ frame
 
-    def xy(rows: slice):
-        return tuple(u[rows, None] * a + w * b for a, b in frame)
+    def lines(rows: slice):
+        return tuple(_sum_of_lines(u[rows, None] * a, w[None] * b) for a, b in frame)
 
-    return u - s_u, w - s_w, xy
+    return u - s_u, w - s_w, lines
+
+
+def _sum_of_lines(col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """col + row, for a column (n, 1) and a row (1, m), as an array that
+    broadcasts to (n, m) with the bytes of the full sum.
+
+    Where one of the two is all zeros, each sum is the other's entry plus a
+    zero, which is that entry, except that -0 + -0 is -0.  So unless the
+    other holds a -0 and the zeros' signs differ, the sum is the other plus
+    the first zero: a column or a row.  Else it is the full (n, m) sum.
+    """
+    for zeros, other in ((col, row), (row, col)):
+        if zeros.size and not zeros.any():
+            signs = np.signbit(zeros)
+            if signs.all() or not signs.any() or not (np.signbit(other) & (other == 0)).any():
+                return other + zeros.flat[0]
+    return col + row
+
+
+def _track_samples(grid: GroundGrid, model: SarSensorModel, sub: float):
+    """_track_lines with xy(rows) in place of lines(rows): the world x and
+    y of the samples of a slice of rows, each broadcast to the slice's
+    (rows, columns) shape."""
+    du, dw, lines = _track_lines(grid, model, sub)
+    return du, dw, lambda rows: np.broadcast_arrays(*lines(rows))
 
 
 def _shadow_mask(w: np.ndarray, hg: np.ndarray, z_s: float) -> np.ndarray:
@@ -386,19 +480,24 @@ def render_sar(
     DEM cell along each axis.  SceneOutsideSwath is raised when the cells
     that carry energy all project outside the grid.
 
-    Every per-sample stage runs in blocks of whole track-frame rows of about
-    BILINEAR_BLOCK samples, in row order, since a row's shadow needs all of
-    it: world x and y, DEM heights and reflectance, the height gradient
-    (taken on the block plus one halo row on each side, so it equals the
-    full frame's, one-sided at the frame's edges), weighting, shadow,
-    projection of the samples that carry energy, density and bins.  The DEM
-    and the reflectance, stacked once per render, are sampled in one
-    bilinear call per block, on the halo rows: one computation of the
-    corners serves both grids, and each sample keeps the bytes of its own
-    grid's call.  soft_histogram takes the blocks one after another and
-    adds them in sample order, so the image is the one a single splat of
-    all samples gives, byte for byte, and memory is O(block + output)
-    instead of O(samples), plus the stacked copy of the two grids.
+    Every per-sample stage runs in blocks of whole track-frame rows, in row
+    order, since a row's shadow needs all of it: world x and y, DEM heights
+    and reflectance, the height gradient (taken on the block plus one halo
+    row on each side, so it equals the full frame's, one-sided at the
+    frame's edges), weighting, shadow, projection of the samples that carry
+    energy, density and bins.  A block holds as many rows as fit, with its
+    two halo rows, in BILINEAR_BLOCK samples, and at least one.  The DEM and
+    the reflectance, stacked once per render, are sampled in one bilinear
+    call per block, on the halo rows: one computation of the corners serves
+    both grids, and each sample keeps the bytes of its own grid's call.  On
+    a track along a grid axis (v_x or v_y exactly 0, v_z free) the samples'
+    x and y are a column and a row (_track_lines), so bilinear computes the
+    corners and fractions of each row and each column once, and per sample
+    only the gathers and the weighted sum.  soft_histogram takes the blocks
+    one after another and adds them in sample order, so the image is the
+    one a single splat of all samples gives, byte for byte, and memory is
+    O(block + output) instead of O(samples), plus the stacked copy of the
+    two grids.
     ValueError is raised unless the reflectance has the DEM's shape.
     Assumption: along an axis of the track frame that is one sample long
     the slope is taken as 0.
@@ -411,7 +510,7 @@ def render_sar(
                          f"{dem.samples.shape} must share one grid")
     rows_out, cols_out = shape
     sub = grid.step / supersample
-    du, dw, xy = _track_samples(grid, model, sub)
+    du, dw, lines = _track_lines(grid, model, sub)
     ground = float(dem.samples.min())
     # both grids in one stack, sampled at one set of corners
     surfaces = np.stack([dem.samples, reflectance.samples])
@@ -420,15 +519,16 @@ def render_sar(
     # the look vector's horizontal squares; each block sums
     # (dw^2 + du^2) + (h - z_s)^2, the order of np.linalg.norm(axis=0)
     dw2, du2 = dw * dw, du * du
-    rows_per_block = max(1, BILINEAR_BLOCK // dw.size)
+    rows_per_block = max(1, BILINEAR_BLOCK // dw.size - 2)  # and two halo rows
     spans = []  # each block's least and greatest row and col
 
     def blocks():
         for start in range(0, du.size, rows_per_block):
             rows = slice(start, start + rows_per_block)
             halo = slice(max(start - 1, 0), start + rows_per_block + 1)
-            x, y = xy(halo)
+            x, y = lines(halo)
             h, refl = bilinear(surfaces, *grid.cell_of(x, y), (ground, 0.0))
+            x, y = np.broadcast_arrays(x, y)
             # local incidence weighting in the track frame: surface normal
             # (-gw, -gu, 1) against the direction back toward the sensor
             gu, gw = (np.gradient(h, sub, axis=k) if h.shape[k] > 1 else np.zeros_like(h)

@@ -406,6 +406,57 @@ class TestBilinear:
         s = np.array([[0.0, 4.0, 8.0]], dtype=np.float32)
         assert bilinear(s, [0.0, 0.0], [0.25, 2.0], np.nan).tolist() == [1.0, 8.0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        k=st.sampled_from([None, 1, 2]),
+        layout=st.sampled_from(["r column", "r row", "r one", "c one"]),
+        # the output's (rows, columns): empty, one position, small, one row
+        # longer than a block, and rows of half a block, over a block together
+        lengths=st.sampled_from([(0, 3), (3, 0), (1, 1), (4, 7), (2, B + 3), (3, B // 2 + 1)]),
+        data=st.data(),
+    )
+    def test_column_and_row_positions_equal_broadcast_positions(self, shape, k, layout,
+                                                                lengths, data):
+        # a column of positions against a row computes each row's and each
+        # column's corners once; the bytes are those of the same positions
+        # broadcast in full, whose corners are computed per position
+        rows, cols = shape
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e3, 1e3, width=32))
+        grids = np.array(data.draw(st.lists(values, min_size=rows * cols * (k or 1),
+                                            max_size=rows * cols * (k or 1))),
+                         dtype=np.float32).reshape(*([k] if k else []), rows, cols)
+        fill = data.draw(st.lists(st.sampled_from([np.nan, -7.0, 0.0, -0.0]),
+                                  min_size=k or 1, max_size=k or 1))
+        fill = fill if k else fill[0]
+
+        def positions(n, size):
+            last = float(n - 1)
+            special = [0.0, -0.0, last, float(np.nextafter(0.0, -1.0)),
+                       float(np.nextafter(last, np.inf)), np.nan, np.inf, -np.inf]
+            drawn = data.draw(st.lists(
+                st.one_of(st.sampled_from(special), st.integers(-1, n).map(float),
+                          st.floats(-1.5, n + 0.5)),
+                min_size=min(size, 1), max_size=min(size, 12)))
+            return np.resize(np.array(drawn, dtype=float), size)
+
+        n, m = lengths
+        if layout == "r column":
+            r, c = positions(rows, n)[:, None], positions(cols, m)[None, :]
+        elif layout == "r row":
+            r, c = positions(rows, m)[None, :], positions(cols, n)[:, None]
+        elif layout == "r one":
+            r, c = positions(rows, 1)[:, None], positions(cols, m)[None, :]
+        else:
+            r, c = positions(rows, n)[:, None], positions(cols, 1)[None, :]
+        full = [np.array(a) for a in np.broadcast_arrays(r, c)]  # writable copies
+        got = bilinear(grids, r, c, fill)
+        want = bilinear(grids, *full, fill)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for g, f, w in zip(grids if k else [grids], fill if k else [fill],
+                           want if k else [want]):
+            assert w.tobytes() == bilinear_oracle(g, *full, f).tobytes()
+
 
 def splat_loop(positions, shape, wraps, weight):
     """One sample and one corner at a time: the soft histogram by definition."""

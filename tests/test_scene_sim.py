@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter
 
 from sarstereo import scene_sim
 from sarstereo.geometry import (
@@ -24,6 +25,8 @@ from sarstereo.raster import (
     GroundGrid,
     Raster,
     bilinear,
+    bilinear_axis,
+    bilinear_corners,
     linear_bins,
     soft_histogram,
 )
@@ -37,6 +40,7 @@ from sarstereo.scene_sim import (
     TruthSet,
     _blocked,
     _shadow_mask,
+    _sum_of_lines,
     _track_samples,
     _vertex_bound,
     canonical_scene_models,
@@ -98,6 +102,25 @@ class TestMakeScene:
             assert a_dem.samples.tobytes() == dem.samples.tobytes()
             assert a_refl.samples.tobytes() == refl.samples.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(gsd=st.sampled_from([0.5, 1.0, 1.5]), seed=st.integers(0, 99),
+           edges=st.lists(st.tuples(*(st.one_of(st.integers(0, 24).map(lambda k: k * 0.25),
+                                                st.floats(0.0, 6.0))
+                                       for _ in range(4)), st.floats(0.5, 30.0)),
+                          min_size=0, max_size=4))
+    def test_index_ranges_stamp_the_cells_the_masks_stamped(self, gsd, seed, edges):
+        # edges on cell centres, cell borders and in between, overlapping
+        # buildings among them: the DEM and the reflectance keep the bytes
+        # of the full-grid masks, and the generator's draws their order
+        buildings = tuple(Building((min(a, b), min(c, d), max(a, b) + 0.25, max(c, d) + 0.25),
+                                   h) for a, b, c, d, h in edges)
+        spec = SceneSpec(extent=(6.25, 6.25), gsd=gsd, ground_height=-2.0,
+                         buildings=buildings, texture_seed=seed)
+        dem, refl = make_scene(spec)
+        want_dem, want_refl = _make_scene_by_masks(spec)
+        assert dem.samples.tobytes() == want_dem.tobytes()
+        assert refl.samples.tobytes() == want_refl.tobytes()
+
     def test_building_outside_extent_rejected(self):
         with pytest.raises(ValueError):
             SceneSpec(extent=(50, 50),
@@ -127,6 +150,27 @@ class TestMakeScene:
     def test_building_rejects_non_finite_values(self, rect, height):
         with pytest.raises(ValueError):
             Building(rect=rect, height=height)
+
+
+def _make_scene_by_masks(spec):
+    """make_scene's DEM and reflectance samples, each building stamped
+    through a full-grid mask of the cell centres it covers."""
+    rows, cols = spec.shape
+    g = spec.gsd
+    dem = np.full((rows, cols), spec.ground_height, dtype=float)
+    xg, yg = np.meshgrid((np.arange(cols) + 0.5) * g, (np.arange(rows) + 0.5) * g)
+    rng = np.random.default_rng(spec.texture_seed)
+    base = gaussian_filter(rng.standard_normal((rows, cols)), scene_sim.TEXTURE_SMOOTHNESS)
+    base = (base - base.min()) / (base.max() - base.min() + 1e-30)
+    refl = 1.0 + spec.texture_contrast * (base - 0.5)
+    for b in spec.buildings:
+        x0, y0, x1, y1 = b.rect
+        inside = (xg >= x0) & (xg < x1) & (yg >= y0) & (yg < y1)
+        dem[inside] = spec.ground_height + b.height
+        gain = 0.55 + 0.9 * rng.random()
+        refl[inside] = np.clip(refl[inside] * gain + 0.25 * (rng.random() - 0.5),
+                               0.15, 2.5)
+    return dem.astype(np.float32), refl.astype(np.float32)
 
 
 class TestRenderNoise:
@@ -300,7 +344,9 @@ class TestRenderOptical:
         assert sum(dem_elements) < 5 * opt_shape[0] * opt_shape[1]
 
     def test_samples_dem_in_few_calls(self, monkeypatch):
-        # the level-by-level march made 160 calls on this scene
+        # the level-by-level march made 160 calls on this scene, and the
+        # march by ray with bilinear at every halving 26; every ray bisected
+        # here keeps its cell, so the halvings call bilinear none
         spec = SceneSpec(extent=(200.0, 160.0), texture_seed=4,
                          buildings=(Building((20, 30, 48, 58), 68.0),
                                     Building((120, 90, 145, 110), 25.0)))
@@ -315,7 +361,45 @@ class TestRenderOptical:
 
         monkeypatch.setattr(scene_sim, "bilinear", counting)
         render_optical(dem, refl, opt, RenderNoise(), opt_shape)
-        assert len(calls) <= 40
+        assert len(calls) <= 4
+
+    def test_bisection_with_fixed_cell_and_cell_changing_rays_equals_full_frame_march(
+            self, monkeypatch):
+        # an oblique camera 2 km up: some rays cross a grid line within
+        # their bracket and are sampled by bilinear at every halving, the
+        # others gather their corners once
+        spec = _view_scene(1.0, 0.0, 3, 96.0, 41.0, 12.0)
+        dem, refl = make_scene(spec)
+        cam = OpticalSensorModel(pc=(0.0, 0.0, 2000.0), phi=0.3, omega=0.2, kappa=0.5,
+                                 focal=2000.0, principal_row=7.5, principal_col=9.5)
+        axis = -cam.rotation[:, 2]
+        target = np.array([20.0, 15.0, 0.0])
+        cam = dataclasses.replace(cam, pc=target + 2000.0 / axis[2] * axis)
+        decided, gathered, halving_calls = [], [], []
+
+        def counting_axis(pos, n):
+            decided.append(np.size(pos))
+            return bilinear_axis(pos, n)
+
+        def counting_corners(z, r0, c0):
+            gathered.append(np.size(r0))
+            return bilinear_corners(z, r0, c0)
+
+        def counting_bilinear(samples, r, c, fill):
+            if samples is dem.samples:
+                halving_calls.append(np.size(r))
+            return bilinear(samples, r, c, fill)
+
+        monkeypatch.setattr(scene_sim, "bilinear_axis", counting_axis)
+        monkeypatch.setattr(scene_sim, "bilinear_corners", counting_corners)
+        monkeypatch.setattr(scene_sim, "bilinear", counting_bilinear)
+        img = render_optical(dem, refl, cam, RenderNoise(), (16, 20))
+        expected = _render_optical_oracle(dem, refl, cam, (16, 20))
+        assert img.samples.tobytes() == expected.tobytes()
+        # the rays bisected, then those that keep their cell
+        n_decide, (n_fixed,) = decided[0], gathered
+        assert 0 < n_fixed < n_decide
+        assert len(halving_calls) >= 22
 
     def test_peak_memory_per_ray(self):
         # the level-by-level march held about 250 bytes per ray at once
@@ -468,6 +552,12 @@ def _render_sar_oracle(dem, reflectance, model, shape, supersample=2):
     return img.astype(np.float32), row.size
 
 
+def _column_against_row(r_shape, c_shape) -> bool:
+    """Whether positions of these shapes broadcast as a column against a row."""
+    return (len(r_shape) == len(c_shape) == 2
+            and 1 in (r_shape[1] * c_shape[0], r_shape[0] * c_shape[1]))
+
+
 # a 4.5 km wide strip: at supersample 2 one track-frame row of the north
 # track holds more samples than one weighting block
 _WIDE_SPEC = SceneSpec(extent=(4500.0, 6.0), texture_seed=3,
@@ -534,6 +624,84 @@ class TestRenderSar:
         render_sar(dem, refl, sar, RenderNoise(), sar_shape)
         assert len(blocks) > 1 and len(grids) == len(blocks)
         assert set(grids) == {(2, *dem.samples.shape)}
+
+    @pytest.mark.parametrize("v", [
+        pytest.param((0.0, 7500.0, 0.0), id="+y"),
+        pytest.param((-0.0, 7500.0, 0.0), id="+y-negative-zero"),
+        pytest.param((0.0, -7500.0, 0.0), id="-y"),
+        pytest.param((7500.0, 0.0, 0.0), id="+x"),
+        pytest.param((-7500.0, 0.0, 0.0), id="-x"),
+        pytest.param((7500.0, 0.0, 0.5), id="+x-climbing"),
+    ])
+    def test_track_along_a_grid_axis_samples_columns_against_rows(self, v, monkeypatch):
+        # v exactly on the axis: a track turned by 90 degrees has a cos of
+        # 6e-17 and samples every position.  Each block's one bilinear call
+        # takes a column of positions against a row
+        spec = _city_spec(extent=(90.0, 90.0))
+        dem, refl = make_scene(spec)
+        sar, _, sar_shape, _ = canonical_scene_models(spec)
+        heading = np.degrees(np.arctan2(v[1], v[0])) - 90.0
+        sar = dataclasses.replace(_rotated_track(sar, heading, (45.0, 45.0)), v=v)
+        expected, _ = _render_sar_oracle(dem, refl, sar, sar_shape)
+        positions, blocks = [], []
+
+        def counting_bilinear(samples, r, c, fill):
+            positions.append((np.shape(r), np.shape(c)))
+            return bilinear(samples, r, c, fill)
+
+        def counting_forward(model, ground):
+            blocks.append(ground[..., 0].size)
+            return sar_forward_array(model, ground)
+
+        monkeypatch.setattr(scene_sim, "bilinear", counting_bilinear)
+        monkeypatch.setattr(scene_sim, "sar_forward_array", counting_forward)
+        img = render_sar(dem, refl, sar, RenderNoise(), sar_shape)
+        assert img.samples.tobytes() == expected.tobytes()
+        assert img.samples.max() > 0
+        assert len(positions) == len(blocks) > 1
+        assert all(_column_against_row(*shapes) for shapes in positions)
+
+    def test_signed_zero_that_a_line_cannot_keep_samples_full_positions(self, monkeypatch):
+        # cell centres on the world axes at supersample 1: the -y track's
+        # samples reach u = 0 and w = 0 exactly, so in the last block, which
+        # holds them, a coordinate sums a -0 with zeros of both signs, and
+        # only the full sum has its bytes
+        spec = _city_spec(extent=(90.0, 300.0))
+        geo = {"geotransform": {"x0": 0.0, "y0": 0.0, "step": 1.0}}
+        dem, refl = (Raster(samples=r.samples, sidecar=geo) for r in make_scene(spec))
+        sar, _, sar_shape, _ = canonical_scene_models(spec)
+        sar = dataclasses.replace(_rotated_track(sar, 180.0, (45.0, 150.0)),
+                                  v=(0.0, -7500.0, 0.0))
+        expected, _ = _render_sar_oracle(dem, refl, sar, sar_shape, supersample=1)
+        positions = []
+
+        def counting_bilinear(samples, r, c, fill):
+            positions.append((np.shape(r), np.shape(c)))
+            return bilinear(samples, r, c, fill)
+
+        monkeypatch.setattr(scene_sim, "bilinear", counting_bilinear)
+        img = render_sar(dem, refl, sar, RenderNoise(), sar_shape, supersample=1)
+        assert img.samples.tobytes() == expected.tobytes()
+        full = [not _column_against_row(*shapes) for shapes in positions]
+        assert full == [False] * (len(full) - 1) + [True] and len(full) > 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sum_of_lines_has_the_bytes_of_the_full_sum(self, data):
+        # each line all zeros, of one sign or of both, or any values with
+        # signed zeros among them
+        zero = st.sampled_from([0.0, -0.0])
+        value = st.one_of(zero, st.floats(-5.0, 5.0))
+        col, row = (np.array(data.draw(st.lists(data.draw(st.sampled_from([zero, value])),
+                                                min_size=1, max_size=5)))
+                    for _ in range(2))
+        col, row = col[:, None], row[None, :]
+        got = _sum_of_lines(col, row)
+        want = col + row
+        assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+        # a line of zeros of one sign leaves a line, not the full sum
+        if any(not z.any() and len(set(np.signbit(z).ravel())) == 1 for z in (col, row)):
+            assert got.shape in (col.shape, row.shape)
 
     def test_rejects_reflectance_off_the_dem_grid(self):
         spec = SceneSpec(extent=(20, 20))

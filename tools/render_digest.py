@@ -1,0 +1,69 @@
+"""Digest of every scene the benchmark renders, to show that a change keeps its bytes.
+
+    python3 tools/render_digest.py SEED [SEED ...]
+
+Run from the root of a source checkout; the library is imported from its
+``src`` directory and the scenes from ``perfbench/ops.py``.  For each seed
+and each scene, the four ``simulate`` scenes and the stereo scene that
+``reconstruct`` and ``match`` share, one line gives the sha256 of the
+samples of the DEM, the reflectance, the optical render and the SAR render.
+Each ``simulate`` scene adds one line with the ``repr`` of its TruthSet.  A
+scene whose render raises prints the exception instead.  Two checkouts
+render the same bytes when their outputs are equal.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import ops  # noqa: E402
+from sarstereo import scene_sim  # noqa: E402
+from tracing import NullTracer  # noqa: E402
+
+
+def _digests(scene) -> str:
+    rasters = (("dem", scene.dem), ("reflectance", scene.reflectance),
+               ("optical", scene.optical), ("sar", scene.sar_img))
+    return " ".join(f"{name} {hashlib.sha256(r.samples.tobytes()).hexdigest()}"
+                    for name, r in rasters)
+
+
+def seed_lines(seed: int):
+    """The lines of one seed: each scene's digests, and each simulate truth."""
+    api = SimpleNamespace(scene_sim=scene_sim)
+    for k, job in enumerate(ops.simulate_jobs(seed)):
+        try:
+            scene = ops.render_scene(scene_sim, NullTracer(), job.spec, job.cfg.theta,
+                                     job.cfg.looks, job.noise_seed)
+            truth = scene_sim.ground_truth_correspondences(
+                scene.dem, scene.sar_model, scene.opt_model, job.points,
+                sar_shape=scene.sar_shape, opt_shape=scene.opt_shape)
+        except ops.OP_ERRORS as exc:
+            yield f"seed {seed} scene {k} raised {type(exc).__name__}: {exc}"
+            continue
+        yield f"seed {seed} scene {k} {_digests(scene)}"
+        yield f"seed {seed} scene {k} truth {truth!r}"
+    try:
+        yield f"seed {seed} stereo {_digests(ops.build_stereo_scene(api, seed))}"
+    except ops.OP_ERRORS as exc:
+        yield f"seed {seed} stereo raised {type(exc).__name__}: {exc}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("seeds", nargs="+", type=int, metavar="SEED")
+    for seed in ap.parse_args(argv).seeds:
+        for line in seed_lines(seed):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
