@@ -16,9 +16,10 @@ denominator is negative (aerial convention: identity rotation looks down).
 This module is the only place that states the sensor equations, and the
 projections work on arrays: sar_forward_array and opt_forward_array map
 ground points to (t, r) and (row, col); the optical inverse is opt_ray
-(pixel to world ray) followed by ray_at_height (ray to plane z = h).
-Ground points are float arrays of shape (..., 3) holding (x, y, h) in the
-last axis; image and SAR coordinates are pairs of arrays of shape (...,).
+(pixel to world ray) followed by ray_at_height (ray to plane z = h, whose
+x and y it returns).  Ground points are float arrays of shape (..., 3)
+holding (x, y, h) in the last axis; image, SAR and ground plane coordinates
+are pairs of arrays of shape (...,).
 An element whose projection fails is NaN (for the inverse: x and y) and
 raises nothing.  The scalar functions sar_forward, opt_forward and
 opt_inverse_at_height take and return the dataclasses below, call the
@@ -355,24 +356,22 @@ def opt_ray(model: OpticalSensorModel, row, col) -> np.ndarray:
     return w
 
 
-def ray_at_height(origin, w, h) -> np.ndarray:
-    """Points (..., 3) where the rays origin + s w cross the planes z = h.
+def ray_at_height(origin, w, h) -> tuple[np.ndarray, np.ndarray]:
+    """Ground coordinates (x, y) where the rays origin + s w cross the
+    planes z = h.
 
-    h broadcasts against w[..., 2] and is the third coordinate as given;
+    h broadcasts against w[..., 2], and x and y have the shape of the two;
     NaN rays give NaN x and y.
     """
     s = (h - origin[2]) / w[..., 2]
-    p = s[..., None] * w
-    p += origin
-    p[..., 2] = h
-    return p
+    return s * w[..., 0] + origin[0], s * w[..., 1] + origin[1]
 
 
 def opt_inverse_at_height(
     model: OpticalSensorModel, ip: ImagePoint, h: float
 ) -> GroundPoint:
     """Intersect the viewing ray of a pixel with the plane z = h."""
-    p = ray_at_height(model.pc, opt_ray(model, ip.row, ip.col), h)
-    if np.isnan(p[0]):
+    x, y = ray_at_height(model.pc, opt_ray(model, ip.row, ip.col), h)
+    if np.isnan(x):
         raise RayParallelToPlane(f"ray parallel to plane z = {h}")
-    return GroundPoint(float(p[0]), float(p[1]), float(h))
+    return GroundPoint(float(x), float(y), float(h))

@@ -13,8 +13,9 @@ Sampling and splatting: bilinear samples a grid, or a stack of same-shape
 grids, at fractional positions, and soft_histogram is its adjoint, fed by
 linear_bins.  bilinear is built from three steps that callers may also
 take on their own: bilinear_axis (each axis's in-grid mask, first corner
-and fraction), bilinear_corners (the four corner values) and bilinear_sum
-(the corners' weighted sum, stated here only).  A stack's grids share one
+and fraction), bilinear_corners (the four corner values, taken from the
+flattened grid) and bilinear_sum (the corners' weighted sum, stated here
+only).  A stack's grids share one
 computation of the corners, fractions and off-grid mask per block of
 positions; render_sar samples the DEM and the reflectance that way.
 Positions given as a column against a row get their axis terms once per
@@ -30,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -184,21 +186,17 @@ def bilinear(samples: np.ndarray, r, c, fill) -> np.ndarray:
     Each axis's in-grid test, first corner and fraction come from
     bilinear_axis, the corner values from bilinear_corners and the value
     from bilinear_sum.  Where r and c are a column against a row, (n, 1)
-    against (1, m) or (1, m) against (n, 1), every position of an output
-    row shares one value of the column and every position of an output
-    column one value of the row, so the axis terms are computed once per
-    row and once per column, and per position only the gathers and the
-    weighted sum.  The off-grid positions are then whole output rows and
-    columns, and only those are written with fill.  Any other positions are
-    taken BILINEAR_BLOCK at a time, each block's axis terms computed for
-    its own positions.  Either way the output is preallocated and filled in
-    blocks of at most BILINEAR_BLOCK positions, whose temporaries are at
-    most 64 KiB per grid, small enough for the allocator to reuse its own
-    free memory instead of mapping fresh pages for every full-size
-    temporary.  A block's corners serve every grid of the stack.  Each
-    position's axis terms are the values it would get on its own, and its
-    value the same sum of the four corners, in the same order, so every
-    path gives the bytes of an unblocked evaluation of each grid alone.
+    against (1, m) or (1, m) against (n, 1), the axis terms are computed
+    once per row and once per column, per position only the gathers and the
+    weighted sum, and the off-grid positions, whole output rows and
+    columns, are written with fill.  Other positions are taken
+    BILINEAR_BLOCK at a time.  Either way the output is preallocated and
+    filled in blocks of at most BILINEAR_BLOCK positions, whose temporaries
+    of at most 64 KiB per grid the allocator reuses instead of mapping fresh
+    pages.  A block's corners serve every grid of the stack.  Each position
+    gets the axis terms and the sum of the four corners it would get on its
+    own, in the same order, so every path gives the bytes of an unblocked
+    evaluation of each grid alone.
     """
     # contiguous, so each block's bilinear_corners flattens it as a view
     samples = np.ascontiguousarray(samples)
@@ -270,26 +268,16 @@ def bilinear_corners(samples: np.ndarray, r0: np.ndarray, c0: np.ndarray):
     the cells whose first corners are (r0, c0), which broadcast.
 
     Yields one array at a time, in bilinear_sum's order: (r0, c0),
-    (r0 + 1, c0), (r0, c0 + 1) and (r0 + 1, c0 + 1).  A grid of one row or
-    one column has only the first corner along that axis.  For a column r0
-    (n, 1) against a row c0 (1, m) with m at least the grid's columns, the
-    two grid rows each output row touches are copied once, as float64,
-    which every product with a float64 weight takes anyway, and the corners
-    are taken from them by column.
+    (r0 + 1, c0), (r0, c0 + 1) and (r0 + 1, c0 + 1), each taken from the
+    flattened grid at the broadcast flat index of the corner.  A grid of one
+    row or one column has only the first corner along that axis.
     """
     *stack, rows, cols = samples.shape
-    dr = 1 if rows > 1 else 0
+    dr = cols if rows > 1 else 0
     dc = 1 if cols > 1 else 0
-    if r0.ndim == c0.ndim == 2 and r0.shape[1] == c0.shape[0] == 1 and c0.shape[1] >= cols:
-        lines = [samples[..., r0[:, 0] + k if k else r0[:, 0], :].astype(float, copy=False)
-                 for k in (0, dr)]
-        for k in (0, dc):
-            for line in lines:
-                yield line.take(c0[0] + k if k else c0[0], axis=-1)
-        return
     grids = samples.reshape(*stack, rows * cols)
     first = r0 * cols + c0
-    for offset in (0, dr * cols, dc, dr * cols + dc):
+    for offset in (0, dr, dc, dr + dc):
         yield grids.take(first + offset if offset else first, axis=-1)
 
 
@@ -413,16 +401,26 @@ class GroundGrid:
     def from_raster(raster: Raster) -> "GroundGrid":
         """The grid of the sidecar's geotransform {"x0", "y0", "step"}.
 
-        ValueError unless x0 and y0 are finite and step is finite and > 0.
+        ValueError, naming the fields at fault, unless the geotransform is
+        an object whose x0 and y0 are finite numbers and whose step is a
+        finite number > 0.
         """
         gt = raster.sidecar.get("geotransform")
         if gt is None:
             raise ValueError("raster sidecar carries no geotransform")
-        x0, y0, step = float(gt["x0"]), float(gt["y0"]), float(gt["step"])
-        if not (all(map(math.isfinite, (x0, y0, step))) and step > 0):
-            raise ValueError(f"invalid geotransform {gt!r}: need finite x0, y0 "
-                             "and a finite step > 0")
-        return GroundGrid(raster=raster, x0=x0, y0=y0, step=step)
+        if not isinstance(gt, dict):
+            raise ValueError(f"geotransform is not an object: {gt!r}")
+        missing = [n for n in ("x0", "y0", "step") if n not in gt]
+        if missing:
+            raise ValueError(f"geotransform lacks field(s) {', '.join(missing)}")
+        for name in ("x0", "y0", "step"):
+            v = gt[name]
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)
+                    and (name != "step" or v > 0)):
+                raise ValueError(f"geotransform {name} must be a finite number"
+                                 f"{' > 0' if name == 'step' else ''}, got {v!r}")
+        return GroundGrid(raster=raster, x0=float(gt["x0"]), y0=float(gt["y0"]),
+                          step=float(gt["step"]))
 
     def cell_of(self, x: float, y: float) -> tuple[float, float]:
         return (y - self.y0) / self.step, (x - self.x0) / self.step

@@ -222,8 +222,8 @@ def render_optical(
     on its crossing level, so the path of a ray never found below the
     surface (hi halves toward lo) is computed once per level.  A ray whose
     bound lies below that path's last and least mid takes the path's
-    result; only the others run the 22 halvings, on compact arrays, and are
-    sampled where their bound reaches the mid.
+    result; only the others run the 22 halvings, on compact arrays, each
+    halving sampling the surface at every such ray's mid.
 
     Every mid a ray's bisection can reach lies between that least mid and
     the last mid of the path always found below (lo halves toward hi), also
@@ -262,8 +262,7 @@ def render_optical(
     def cell_at(idx, h):
         # the rays' directions keep each component contiguous, as opt_ray
         # lays them out, so per-ray arithmetic runs along rows, not triples
-        p = ray_at_height(model.pc, w.T[:, idx].T, h)
-        return grid.cell_of(p[:, 0], p[:, 1])
+        return grid.cell_of(*ray_at_height(model.pc, w.T[:, idx].T, h))
 
     def surface_at(idx, h):
         return bilinear(z, *cell_at(idx, h), ground)
@@ -337,16 +336,14 @@ def render_optical(
         fixed &= in_least & in_most & (at_least == at_most)
 
     def bisect(rays, below_at):
-        """Halve the brackets of rays, below_at(mid, sampled) telling which
-        rays are below the surface at mid; sampled marks the rays whose bound
-        reaches mid, the others are not below."""
+        """Halve the brackets of rays, below_at(mid) telling which rays are
+        below the surface at mid."""
         if not rays.size:
             return
         lo, hi = lo_at[level[rays]], hi_at[level[rays]]
-        ray_bound = bound[rays]
         for _ in range(halvings):
             mid = (lo + hi) * 0.5
-            below = below_at(mid, ray_bound >= mid)
+            below = below_at(mid)
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         height[rays] = 0.5 * (lo + hi)
@@ -360,27 +357,17 @@ def render_optical(
     corners = tuple(v.astype(float) for v in bilinear_corners(z, r0, c0))
     r0, c0 = r0.astype(float), c0.astype(float)
 
-    def cell_below(mid, sampled):
-        p = ray_at_height(model.pc, w_cell, mid)
-        r, c = grid.cell_of(p[:, 0], p[:, 1])
+    def cell_below(mid):
+        r, c = grid.cell_of(*ray_at_height(model.pc, w_cell, mid))
         r -= r0
         c -= c0
-        return sampled & (bilinear_sum(corners, r, c) >= mid)
+        return bilinear_sum(corners, r, c) >= mid
 
-    # any other ray is sampled by bilinear where its bound reaches the mid
+    # any other ray is sampled by bilinear
     moving = decide[~fixed]
-
-    def moving_below(mid, sampled):
-        idx = np.flatnonzero(sampled)
-        at = mid[idx]
-        below = np.zeros(moving.size, dtype=bool)
-        below[idx] = surface_at(moving[idx], at) >= at
-        return below
-
     bisect(in_cell, cell_below)
-    bisect(moving, moving_below)
-    p = ray_at_height(model.pc, w, height)
-    img = bilinear(reflectance.samples, *grid.cell_of(p[:, 0], p[:, 1]),
+    bisect(moving, lambda mid: surface_at(moving, mid) >= mid)
+    img = bilinear(reflectance.samples, *grid.cell_of(*ray_at_height(model.pc, w, height)),
                    float(reflectance.samples.mean())).reshape(shape)
     if noise.optical_sigma > 0:
         rng = np.random.default_rng(noise.seed + 1)
@@ -400,8 +387,8 @@ def _track_lines(grid: GroundGrid, model: SarSensorModel, sub: float):
     world x and y of the samples of a slice of rows as arrays that broadcast
     to the slice's (rows, columns) shape.  Each coordinate is the sum of a
     column u * u_hat_k and a row w * w_hat_k.  On a track along a grid axis,
-    v_x or v_y exactly 0, one of the two is all zeros, and _sum_of_lines
-    keeps the coordinate a column or a row.
+    v_x or v_y exactly 0, one of u_hat_k and w_hat_k is 0 for each
+    coordinate, which is then the other line alone: a column or a row.
     """
     vx, vy = model.v[:2]
     speed = np.hypot(vx, vy)
@@ -416,34 +403,10 @@ def _track_lines(grid: GroundGrid, model: SarSensorModel, sub: float):
     s_u, s_w = model.position(model.t0)[:2] @ frame
 
     def lines(rows: slice):
-        return tuple(_sum_of_lines(u[rows, None] * a, w[None] * b) for a, b in frame)
+        return tuple(w[None] * b if a == 0 else u[rows, None] * a if b == 0
+                     else u[rows, None] * a + w[None] * b for a, b in frame)
 
     return u - s_u, w - s_w, lines
-
-
-def _sum_of_lines(col: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """col + row, for a column (n, 1) and a row (1, m), as an array that
-    broadcasts to (n, m) with the bytes of the full sum.
-
-    Where one of the two is all zeros, each sum is the other's entry plus a
-    zero, which is that entry, except that -0 + -0 is -0.  So unless the
-    other holds a -0 and the zeros' signs differ, the sum is the other plus
-    the first zero: a column or a row.  Else it is the full (n, m) sum.
-    """
-    for zeros, other in ((col, row), (row, col)):
-        if zeros.size and not zeros.any():
-            signs = np.signbit(zeros)
-            if signs.all() or not signs.any() or not (np.signbit(other) & (other == 0)).any():
-                return other + zeros.flat[0]
-    return col + row
-
-
-def _track_samples(grid: GroundGrid, model: SarSensorModel, sub: float):
-    """_track_lines with xy(rows) in place of lines(rows): the world x and
-    y of the samples of a slice of rows, each broadcast to the slice's
-    (rows, columns) shape."""
-    du, dw, lines = _track_lines(grid, model, sub)
-    return du, dw, lambda rows: np.broadcast_arrays(*lines(rows))
 
 
 def _shadow_mask(w: np.ndarray, hg: np.ndarray, z_s: float) -> np.ndarray:

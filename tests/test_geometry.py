@@ -464,10 +464,10 @@ class TestArrayCore:
     def test_opt_inverse_array_matches_scalar(self, case):
         camera, pts = case
         row, col = opt_forward_array(camera, pts)
-        ground = ray_at_height(camera.pc, opt_ray(camera, row, col), pts[:, 2])
+        x, y = ray_at_height(camera.pc, opt_ray(camera, row, col), pts[:, 2])
         for i in range(len(pts)):
             g = opt_inverse_at_height(camera, ImagePoint(row[i], col[i]), pts[i, 2])
-            close(ground[i], g.as_array())
+            close((x[i], y[i]), (g.x, g.y))
 
     @settings(max_examples=60, deadline=None)
     @given(sar_model_and_points())
@@ -483,8 +483,8 @@ class TestArrayCore:
     def test_optical_round_trip(self, case):
         camera, pts = case
         row, col = opt_forward_array(camera, pts)
-        ground = ray_at_height(camera.pc, opt_ray(camera, row, col), pts[:, 2])
-        np.testing.assert_allclose(ground, pts, rtol=0, atol=1e-6)
+        x, y = ray_at_height(camera.pc, opt_ray(camera, row, col), pts[:, 2])
+        np.testing.assert_allclose(np.column_stack([x, y]), pts[:, :2], rtol=0, atol=1e-6)
 
     def test_position_broadcasts_over_times(self, sar_model):
         ts = np.array([[-1.0, 0.0], [0.5, 2.0]])
@@ -507,7 +507,35 @@ class TestArrayCore:
         # reaches a height plane
         camera = OpticalSensorModel(pc=(0.0, 0.0, 100.0), phi=np.pi / 2, focal=1000.0)
         w = opt_ray(camera, np.array([0.0, 0.0]), np.array([0.0, 0.0]))
-        ground = ray_at_height(camera.pc, w, 0.0)
-        assert np.isnan(ground[:, :2]).all() and (ground[:, 2] == 0.0).all()
+        x, y = ray_at_height(camera.pc, w, 0.0)
+        assert np.isnan(x).all() and np.isnan(y).all()
         with pytest.raises(RayParallelToPlane):
             opt_inverse_at_height(camera, ImagePoint(0.0, 0.0), 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(origin=arrays(float, 3, elements=finite(-1e6, 1e6)),
+           w_xy=arrays(float, (6, 2), elements=finite(-1e3, 1e3)),
+           w_z=arrays(float, 6, elements=finite(1e-3, 1e3) | finite(-1e3, -1e-3)),
+           nan_rays=arrays(bool, 6),
+           h=arrays(float, st.sampled_from([(), (6,), (4, 1)]), elements=finite(-1e4, 1e4)))
+    def test_ray_at_height_has_the_bytes_of_the_point_form(self, origin, w_xy, w_z, nan_rays,
+                                                           h):
+        # NaN rays, as opt_ray gives for rays parallel to the planes, and
+        # heights one per ray, one for all, or a column against the rays
+        w = np.column_stack([w_xy, w_z])
+        w[nan_rays] = np.nan
+        want = _ray_at_height_points(origin, w, h)
+        x, y = ray_at_height(origin, w, h)
+        assert x.shape == y.shape == want.shape[:-1]
+        assert x.tobytes() == want[..., 0].tobytes()
+        assert y.tobytes() == want[..., 1].tobytes()
+
+
+def _ray_at_height_points(origin, w, h):
+    """ray_at_height stated on points (..., 3): the scaled rays plus the
+    origin, with the third coordinate set to h."""
+    s = (h - origin[2]) / w[..., 2]
+    p = s[..., None] * w
+    p += origin
+    p[..., 2] = h
+    return p

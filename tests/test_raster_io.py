@@ -173,10 +173,24 @@ class TestGroundGrid:
         {"x0": 5.0, "y0": 6.0, "step": float("inf")},
         {"x0": float("nan"), "y0": 6.0, "step": 2.0},
         {"x0": 5.0, "y0": float("-inf"), "step": 2.0},
+        {"x0": 5.0, "y0": 6.0},
+        {"y0": 6.0, "step": 2.0},
+        {"x0": [5.0], "y0": 6.0, "step": 2.0},
+        {"x0": 5.0, "y0": None, "step": 2.0},
+        {"x0": 5.0, "y0": 6.0, "step": "two"},
+        {"x0": 5.0, "y0": 6.0, "step": {"m": 2.0}},
     ])
     def test_from_raster_rejects_bad_geotransform(self, gt):
         r = Raster(samples=np.zeros((2, 2), np.float32), sidecar={"geotransform": gt})
-        with pytest.raises(ValueError):
+        # the one field that differs from a good geotransform is named
+        field, = (k for k, v in {"x0": 5.0, "y0": 6.0, "step": 2.0}.items() if gt.get(k) != v)
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            GroundGrid.from_raster(r)
+
+    @pytest.mark.parametrize("gt", [[5.0, 6.0, 2.0], "x0=5 y0=6 step=2", 2.0])
+    def test_from_raster_rejects_geotransform_that_is_not_an_object(self, gt):
+        r = Raster(samples=np.zeros((2, 2), np.float32), sidecar={"geotransform": gt})
+        with pytest.raises(ValueError, match="not an object"):
             GroundGrid.from_raster(r)
 
     @settings(max_examples=60, deadline=None)

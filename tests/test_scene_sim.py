@@ -40,8 +40,7 @@ from sarstereo.scene_sim import (
     TruthSet,
     _blocked,
     _shadow_mask,
-    _sum_of_lines,
-    _track_samples,
+    _track_lines,
     _vertex_bound,
     canonical_scene_models,
     ground_truth_correspondences,
@@ -206,8 +205,7 @@ def _render_optical_oracle(dem, reflectance, model, shape):
     w = opt_ray(model, rr, cc)
 
     def surface_at(h):
-        p = ray_at_height(model.pc, w, h)
-        return bilinear(dem.samples, *grid.cell_of(p[..., 0], p[..., 1]), ground)
+        return bilinear(dem.samples, *grid.cell_of(*ray_at_height(model.pc, w, h)), ground)
 
     n_steps = max(2, min(160, int(np.ceil((h_top - ground) / (grid.step / 2)))))
     heights = np.linspace(h_top, ground, n_steps + 1)
@@ -229,9 +227,8 @@ def _render_optical_oracle(dem, reflectance, model, shape):
         below = surface_at(mid) >= mid
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    p = ray_at_height(model.pc, w, 0.5 * (lo + hi))
-    img = bilinear(reflectance.samples, *grid.cell_of(p[..., 0], p[..., 1]),
-                   float(reflectance.samples.mean()))
+    x, y = ray_at_height(model.pc, w, 0.5 * (lo + hi))
+    img = bilinear(reflectance.samples, *grid.cell_of(x, y), float(reflectance.samples.mean()))
     return img.astype(np.float32)
 
 
@@ -508,11 +505,26 @@ def _rotated_track(sar, degrees, centre):
     return dataclasses.replace(sar, s0=c + rot @ (sar.s0 - c), v=rot @ sar.v)
 
 
+def _track_positions(grid, model, sub):
+    """_track_lines' offsets du and dw, and its samples' world x and y as
+    the full (rows, columns) sums u u_hat_k + w w_hat_k, with no line taken
+    alone where a frame entry is 0."""
+    du, dw, _ = _track_lines(grid, model, sub)
+    vx, vy = model.v[:2]
+    frame = np.array([[vx, vy], [vy, -vx]]) / np.hypot(vx, vy)
+    lo = np.array([grid.x0, grid.y0]) - grid.step / 2
+    hi = lo + grid.step * np.array(grid.raster.samples.shape[::-1])
+    corners = np.array([lo, hi, [lo[0], hi[1]], [hi[0], lo[1]]])
+    u, w = (e.min() + (np.arange(n) + 0.5) * sub
+            for e, n in zip((corners @ frame).T, (du.size, dw.size)))
+    xg, yg = (u[:, None] * a + w[None] * b for a, b in frame)
+    return du, dw, xg, yg
+
+
 def _render_shadow(dem, sar, supersample=2):
     """render_sar's samples (x, y, h) and its shadow verdict at each."""
     grid = GroundGrid.from_raster(dem)
-    _, dw, xy = _track_samples(grid, sar, grid.step / supersample)
-    xg, yg = xy(slice(None))
+    _, dw, xg, yg = _track_positions(grid, sar, grid.step / supersample)
     hg = bilinear(dem.samples, *grid.cell_of(xg, yg), float(dem.samples.min()))
     return (xg, yg, hg), _shadow_mask(dw, hg, float(sar.position(sar.t0)[2]))
 
@@ -523,8 +535,7 @@ def _render_sar_oracle(dem, reflectance, model, shape, supersample=2):
     one pass over the full frame.  Along a one-sample axis the slope is 0."""
     grid = GroundGrid.from_raster(dem)
     sub = grid.step / supersample
-    du, dw, xy = _track_samples(grid, model, sub)
-    xg, yg = xy(slice(None))
+    du, dw, xg, yg = _track_positions(grid, model, sub)
     r_idx, c_idx = grid.cell_of(xg, yg)
     hg = bilinear(dem.samples, r_idx, c_idx, float(dem.samples.min()))
     refl = bilinear(reflectance.samples, r_idx, c_idx, 0.0)
@@ -598,7 +609,7 @@ class TestRenderSar:
         assert total <= supersample**2 * dem.rows * dem.cols
         # each call projects one block of whole track-frame rows at most
         grid = GroundGrid.from_raster(dem)
-        row_length = _track_samples(grid, sar, grid.step / supersample)[1].size
+        row_length = _track_lines(grid, sar, grid.step / supersample)[1].size
         assert max(projected) <= max(1, BILINEAR_BLOCK // row_length) * row_length
         assert track != "30" or n_box > 2 * total
 
@@ -661,11 +672,11 @@ class TestRenderSar:
         assert len(positions) == len(blocks) > 1
         assert all(_column_against_row(*shapes) for shapes in positions)
 
-    def test_signed_zero_that_a_line_cannot_keep_samples_full_positions(self, monkeypatch):
+    def test_signed_zero_track_equals_full_box(self):
         # cell centres on the world axes at supersample 1: the -y track's
-        # samples reach u = 0 and w = 0 exactly, so in the last block, which
-        # holds them, a coordinate sums a -0 with zeros of both signs, and
-        # only the full sum has its bytes
+        # samples reach u = 0 and w = 0 exactly, so in the last block a
+        # coordinate's zero line holds zeros of both signs, which the image
+        # does not depend on
         spec = _city_spec(extent=(90.0, 300.0))
         geo = {"geotransform": {"x0": 0.0, "y0": 0.0, "step": 1.0}}
         dem, refl = (Raster(samples=r.samples, sidecar=geo) for r in make_scene(spec))
@@ -673,35 +684,8 @@ class TestRenderSar:
         sar = dataclasses.replace(_rotated_track(sar, 180.0, (45.0, 150.0)),
                                   v=(0.0, -7500.0, 0.0))
         expected, _ = _render_sar_oracle(dem, refl, sar, sar_shape, supersample=1)
-        positions = []
-
-        def counting_bilinear(samples, r, c, fill):
-            positions.append((np.shape(r), np.shape(c)))
-            return bilinear(samples, r, c, fill)
-
-        monkeypatch.setattr(scene_sim, "bilinear", counting_bilinear)
         img = render_sar(dem, refl, sar, RenderNoise(), sar_shape, supersample=1)
         assert img.samples.tobytes() == expected.tobytes()
-        full = [not _column_against_row(*shapes) for shapes in positions]
-        assert full == [False] * (len(full) - 1) + [True] and len(full) > 1
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_sum_of_lines_has_the_bytes_of_the_full_sum(self, data):
-        # each line all zeros, of one sign or of both, or any values with
-        # signed zeros among them
-        zero = st.sampled_from([0.0, -0.0])
-        value = st.one_of(zero, st.floats(-5.0, 5.0))
-        col, row = (np.array(data.draw(st.lists(data.draw(st.sampled_from([zero, value])),
-                                                min_size=1, max_size=5)))
-                    for _ in range(2))
-        col, row = col[:, None], row[None, :]
-        got = _sum_of_lines(col, row)
-        want = col + row
-        assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
-        # a line of zeros of one sign leaves a line, not the full sum
-        if any(not z.any() and len(set(np.signbit(z).ravel())) == 1 for z in (col, row)):
-            assert got.shape in (col.shape, row.shape)
 
     def test_rejects_reflectance_off_the_dem_grid(self):
         spec = SceneSpec(extent=(20, 20))

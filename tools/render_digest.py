@@ -7,9 +7,12 @@ Run from the root of a source checkout; the library is imported from its
 and each scene, the four ``simulate`` scenes and the stereo scene that
 ``reconstruct`` and ``match`` share, one line gives the sha256 of the
 samples of the DEM, the reflectance, the optical render and the SAR render.
-Each ``simulate`` scene adds one line with the ``repr`` of its TruthSet.  A
-scene whose render raises prints the exception instead.  Two checkouts
-render the same bytes when their outputs are equal.
+Each ``simulate`` scene adds one line with the ``repr`` of its TruthSet, and
+the stereo scene one line with the sha256 of its optical sweep: every 10th
+row and column of the optical frame, taken through ``opt_inverse_at_height``
+and then ``sar_forward`` at each height of ``match``'s sweep.  A scene whose
+render raises prints the exception instead.  Two checkouts render the same
+bytes when their outputs are equal.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from types import SimpleNamespace
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
 import ops  # noqa: E402
 from sarstereo import scene_sim  # noqa: E402
+from sarstereo.geometry import ImagePoint, opt_inverse_at_height, sar_forward  # noqa: E402
 from tracing import NullTracer  # noqa: E402
 
 
@@ -35,8 +40,27 @@ def _digests(scene) -> str:
                     for name, r in rasters)
 
 
+def _sweep_digest(scene) -> str:
+    """sha256 of the ground (x, y) and the SAR (t, r) of every 10th optical
+    row and column at each height of match's sweep over the scene."""
+    h0 = scene.spec.ground_height
+    h_top = h0 + max((b.height for b in scene.spec.buildings), default=0.0)
+    heights = np.arange(h0 - ops.SWEEP_MARGIN_M, h_top + ops.SWEEP_MARGIN_M + 1e-9,
+                        ops.SWEEP_STEP_M)
+    rows, cols = scene.opt_shape
+    values = []
+    for row in range(0, rows, 10):
+        for col in range(0, cols, 10):
+            for h in heights:
+                g = opt_inverse_at_height(scene.opt_model, ImagePoint(row, col), float(h))
+                obs = sar_forward(scene.sar_model, g)
+                values += (g.x, g.y, obs.t, obs.r)
+    return hashlib.sha256(np.array(values).tobytes()).hexdigest()
+
+
 def seed_lines(seed: int):
-    """The lines of one seed: each scene's digests, and each simulate truth."""
+    """The lines of one seed: each scene's digests, each simulate truth and
+    the stereo sweep."""
     api = SimpleNamespace(scene_sim=scene_sim)
     for k, job in enumerate(ops.simulate_jobs(seed)):
         try:
@@ -51,7 +75,9 @@ def seed_lines(seed: int):
         yield f"seed {seed} scene {k} {_digests(scene)}"
         yield f"seed {seed} scene {k} truth {truth!r}"
     try:
-        yield f"seed {seed} stereo {_digests(ops.build_stereo_scene(api, seed))}"
+        stereo = ops.build_stereo_scene(api, seed)
+        yield f"seed {seed} stereo {_digests(stereo)}"
+        yield f"seed {seed} stereo sweep {_sweep_digest(stereo)}"
     except ops.OP_ERRORS as exc:
         yield f"seed {seed} stereo raised {type(exc).__name__}: {exc}"
 
