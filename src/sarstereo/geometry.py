@@ -35,6 +35,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from sarstereo.raster import sidecar_entry
+
 
 class GeometryError(Exception):
     """Base class for projection failures."""
@@ -211,13 +213,8 @@ def model_from_sidecar(sidecar: dict):
     """
     for key, cls in _SIDECAR_KEYS.items():
         if key in sidecar:
-            entry = sidecar[key]
-            if not isinstance(entry, dict):
-                raise ValueError(f"sidecar {key!r} is not an object: {entry!r}")
             names = [f.name for f in fields(cls) if f.init]
-            missing = [n for n in names if n not in entry]
-            if missing:
-                raise ValueError(f"sidecar {key!r} lacks field(s) {', '.join(missing)}")
+            entry = sidecar_entry(sidecar, key, names)
             return cls(**{n: entry[n] for n in names})
     raise ValueError("sidecar holds no sensor model")
 
@@ -357,8 +354,7 @@ def opt_ray(model: OpticalSensorModel, row, col) -> np.ndarray:
 
 
 def ray_at_height(origin, w, h) -> tuple[np.ndarray, np.ndarray]:
-    """Ground coordinates (x, y) where the rays origin + s w cross the
-    planes z = h.
+    """Ground coordinates (x, y) where rays origin + s w cross planes z = h.
 
     h broadcasts against w[..., 2], and x and y have the shape of the two;
     NaN rays give NaN x and y.

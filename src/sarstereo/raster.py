@@ -11,19 +11,18 @@ models and a geotransform.
 
 Sampling and splatting: bilinear samples a grid, or a stack of same-shape
 grids, at fractional positions, and soft_histogram is its adjoint, fed by
-linear_bins.  bilinear is built from three steps that callers may also
-take on their own: bilinear_axis (each axis's in-grid mask, first corner
-and fraction), bilinear_corners (the four corner values, taken from the
+linear_bins.  bilinear is built from three steps that callers may also take
+on their own: bilinear_axis (each axis's in-grid mask, first corner and
+fraction), bilinear_corners (the four corner values, taken from the
 flattened grid) and bilinear_sum (the corners' weighted sum, stated here
-only).  A stack's grids share one
-computation of the corners, fractions and off-grid mask per block of
-positions; render_sar samples the DEM and the reflectance that way.
-Positions given as a column against a row get their axis terms once per
-row and once per column; render_sar's track along a grid axis gives such
-positions.  A caller that knows its positions stay in one cell gathers the
-corners once and calls bilinear_sum alone; render_optical's bisection does.
-Each path takes the same steps on the same values, so every one gives the
-bytes of sampling each position on its own.
+only).  A stack's grids share one computation of the corners, fractions and
+off-grid mask per block of positions; render_sar samples the DEM and the
+reflectance that way.  Positions given as a column against a row get their
+axis terms once per row and once per column; render_sar's track along a grid
+axis gives such positions.  A caller that knows its positions stay in one
+cell gathers the corners once and calls bilinear_sum alone; render_optical's
+bisection does.  Each path takes the same steps on the same values, so every
+one gives the bytes of sampling each position on its own.
 """
 
 from __future__ import annotations
@@ -173,6 +172,20 @@ def load_raster(path) -> Raster:
     return raster
 
 
+def sidecar_entry(sidecar: dict, key: str, names) -> dict:
+    """The JSON object sidecar[key]; ValueError, naming key or the fields of
+    names it lacks, when it is missing, not an object, or incomplete."""
+    if key not in sidecar:
+        raise ValueError(f"sidecar holds no {key!r}")
+    entry = sidecar[key]
+    if not isinstance(entry, dict):
+        raise ValueError(f"sidecar {key!r} is not an object: {entry!r}")
+    missing = [n for n in names if n not in entry]
+    if missing:
+        raise ValueError(f"sidecar {key!r} lacks field(s) {', '.join(missing)}")
+    return entry
+
+
 def bilinear(samples: np.ndarray, r, c, fill) -> np.ndarray:
     """Vectorized bilinear sampling at fractional (row, col) positions.
 
@@ -187,16 +200,14 @@ def bilinear(samples: np.ndarray, r, c, fill) -> np.ndarray:
     bilinear_axis, the corner values from bilinear_corners and the value
     from bilinear_sum.  Where r and c are a column against a row, (n, 1)
     against (1, m) or (1, m) against (n, 1), the axis terms are computed
-    once per row and once per column, per position only the gathers and the
-    weighted sum, and the off-grid positions, whole output rows and
-    columns, are written with fill.  Other positions are taken
-    BILINEAR_BLOCK at a time.  Either way the output is preallocated and
-    filled in blocks of at most BILINEAR_BLOCK positions, whose temporaries
-    of at most 64 KiB per grid the allocator reuses instead of mapping fresh
-    pages.  A block's corners serve every grid of the stack.  Each position
-    gets the axis terms and the sum of the four corners it would get on its
-    own, in the same order, so every path gives the bytes of an unblocked
-    evaluation of each grid alone.
+    once per row and once per column, and the off-grid positions, whole
+    output rows and columns, are written with fill.  Other positions are
+    taken BILINEAR_BLOCK at a time.  Either way the output is preallocated
+    and filled in blocks of at most BILINEAR_BLOCK positions, whose
+    temporaries, at most 64 KiB per grid, the allocator reuses.  A block's
+    corners serve every grid of the stack.  Each position gets the axis
+    terms and the corner sum it would get on its own, so every path gives
+    the bytes of an unblocked evaluation of each grid alone.
     """
     # contiguous, so each block's bilinear_corners flattens it as a view
     samples = np.ascontiguousarray(samples)
@@ -401,26 +412,19 @@ class GroundGrid:
     def from_raster(raster: Raster) -> "GroundGrid":
         """The grid of the sidecar's geotransform {"x0", "y0", "step"}.
 
-        ValueError, naming the fields at fault, unless the geotransform is
-        an object whose x0 and y0 are finite numbers and whose step is a
-        finite number > 0.
+        ValueError, naming the field at fault (see sidecar_entry), unless
+        the geotransform is an object whose x0 and y0 are finite numbers and
+        whose step is a finite number > 0; a bool is not a number here.
         """
-        gt = raster.sidecar.get("geotransform")
-        if gt is None:
-            raise ValueError("raster sidecar carries no geotransform")
-        if not isinstance(gt, dict):
-            raise ValueError(f"geotransform is not an object: {gt!r}")
-        missing = [n for n in ("x0", "y0", "step") if n not in gt]
-        if missing:
-            raise ValueError(f"geotransform lacks field(s) {', '.join(missing)}")
-        for name in ("x0", "y0", "step"):
+        names = ("x0", "y0", "step")
+        gt = sidecar_entry(raster.sidecar, "geotransform", names)
+        for name in names:
             v = gt[name]
-            if not (isinstance(v, numbers.Real) and math.isfinite(v)
-                    and (name != "step" or v > 0)):
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) and (name != "step" or v > 0)):
                 raise ValueError(f"geotransform {name} must be a finite number"
                                  f"{' > 0' if name == 'step' else ''}, got {v!r}")
-        return GroundGrid(raster=raster, x0=float(gt["x0"]), y0=float(gt["y0"]),
-                          step=float(gt["step"]))
+        return GroundGrid(raster, *(float(gt[n]) for n in names))
 
     def cell_of(self, x: float, y: float) -> tuple[float, float]:
         return (y - self.y0) / self.step, (x - self.x0) / self.step

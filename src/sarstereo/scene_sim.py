@@ -197,33 +197,34 @@ def render_optical(
     first crossing in 22 halvings, so marked ground points project into the
     rendered image within a fraction of a pixel.
 
-    The DEM is sampled only where a sample can change the outcome.  Between
-    h_top and the ground a ray's cell position moves along a segment, and
-    the computed position at any height in between lies on it too, since
-    every floating point step from height to cell is monotone.  So each ray
-    gets a float64 upper bound of the surface over that segment's cell box,
-    with a rounding slack: the DEM maximum over the box's bilinear corners,
-    from one maximum filter whose window is the frame's widest box (h_top
-    for a ray with a NaN direction).  Where this bound lies above the ray's
-    own sample at the ground level and the box, clipped to the grid, holds
-    at most one grid line per axis, the bound drops to the surface's
-    maximum at the 3 x 3 vertices of the box's bilinear pieces, since a
-    bilinear function is largest at a corner of a rectangle
-    (_vertex_bound).  The canonical nadir camera's rays sit on cell
-    centres, so this lowers an edge ray next to a roof from the roof's
+    The march skips the heights where no sample can change the outcome.
+    Between h_top and the ground a ray's cell position moves along a
+    segment, and the computed position at any height in between lies on it
+    too, since every floating point step from height to cell is monotone.
+    So each ray gets a float64 upper bound of the surface over that
+    segment's cell box, with a rounding slack: the DEM maximum over the
+    box's bilinear corners, from one maximum filter whose window is the
+    frame's widest box (h_top for a ray with a NaN direction).  Where this
+    bound lies above the ray's own sample at the ground level and the box,
+    clipped to the grid, holds at most one grid line per axis, the bound
+    drops to the surface's maximum at the 3 x 3 vertices of the box's
+    bilinear pieces, since a bilinear function is largest at a corner of a
+    rectangle (_vertex_bound).  The canonical nadir camera's rays sit on
+    cell centres, so this lowers an edge ray next to a roof from the roof's
     height to about the ground's.
 
     At a height above its bound a ray is above the surface, so a sample
-    there would give the "not below" branch, and none is taken.  The march
-    runs by ray: each ray starts at the first level at or below its bound,
-    and every ray not yet below the surface is sampled at its own level,
-    one level lower each round; at the last level, the ground, a ray reuses
-    its sample at the bottom of its segment.  A ray's bracket depends only
-    on its crossing level, so the path of a ray never found below the
-    surface (hi halves toward lo) is computed once per level.  A ray whose
-    bound lies below that path's last and least mid takes the path's
-    result; only the others run the 22 halvings, on compact arrays, each
-    halving sampling the surface at every such ray's mid.
+    there gives the "not below" branch, and the march takes none: it runs by
+    ray, each ray starting at the first level at or below its bound, and
+    every ray not yet below the surface is sampled at its own level, one
+    level lower each round; at the last level, the ground, a ray reuses its
+    sample at the bottom of its segment.  A ray's bracket depends only on
+    its crossing level, so the path of a ray never found below the surface
+    (hi halves toward lo) is computed once per level.  A ray whose bound
+    lies below that path's last and least mid takes the path's result; only
+    the others run the 22 halvings, on compact arrays.  Each halving samples
+    every ray it bisects, at a mid above the ray's bound too, where the
+    bound's slack makes the sample "not below", as the bound alone would.
 
     Every mid a ray's bisection can reach lies between that least mid and
     the last mid of the path always found below (lo halves toward hi), also
@@ -235,12 +236,11 @@ def render_optical(
     and bilinear_sum of the corners, which are bilinear's own steps on the
     same values.  Only the other rays are sampled by bilinear.
 
-    Every sample still taken is computed as in the full-frame march, and
-    every one skipped would have given the branch taken, so the image is
-    the one the full-frame march renders, bit for bit.  ValueError is
-    raised unless shape is two integers >= 1, and SceneNotVisible when the
-    camera does not look down or when no downward ray's box overlaps the
-    DEM.
+    Every sample taken is computed as in the full-frame march, and every
+    level the march skips would have given the branch taken, so the image is
+    the one the full-frame march renders, bit for bit.  ValueError is raised
+    unless shape is two integers >= 1, and SceneNotVisible when the camera
+    does not look down or when no downward ray's box overlaps the DEM.
     """
     if not (np.shape(shape) == (2,)
             and all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape)):

@@ -179,6 +179,7 @@ class TestGroundGrid:
         {"x0": 5.0, "y0": None, "step": 2.0},
         {"x0": 5.0, "y0": 6.0, "step": "two"},
         {"x0": 5.0, "y0": 6.0, "step": {"m": 2.0}},
+        {"x0": 5.0, "y0": 6.0, "step": True},
     ])
     def test_from_raster_rejects_bad_geotransform(self, gt):
         r = Raster(samples=np.zeros((2, 2), np.float32), sidecar={"geotransform": gt})
