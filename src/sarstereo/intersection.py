@@ -33,7 +33,6 @@ requires every sigma to be finite and > 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +48,7 @@ from sarstereo.geometry import (
     collinearity,
     in_front,
 )
+from sarstereo.raster import check_integer
 
 
 class IntersectionError(Exception):
@@ -314,8 +314,7 @@ def intersect(
     Raises ValueError before any linearization unless tol is finite and
     > 0 and max_iterations is an integer >= 1.
     """
-    if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 1):
-        raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
+    check_integer("max_iterations", max_iterations, 1)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 

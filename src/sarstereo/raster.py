@@ -13,16 +13,14 @@ Sampling and splatting: bilinear samples a grid, or a stack of same-shape
 grids, at fractional positions, and soft_histogram is its adjoint, fed by
 linear_bins.  bilinear is built from three steps that callers may also take
 on their own: bilinear_axis (each axis's in-grid mask, first corner and
-fraction), bilinear_corners (the four corner values, taken from the
-flattened grid) and bilinear_sum (the corners' weighted sum, stated here
-only).  A stack's grids share one computation of the corners, fractions and
-off-grid mask per block of positions; render_sar samples the DEM and the
-reflectance that way.  Positions given as a column against a row get their
-axis terms once per row and once per column; render_sar's track along a grid
-axis gives such positions.  A caller that knows its positions stay in one
-cell gathers the corners once and calls bilinear_sum alone; render_optical's
-bisection does.  Each path takes the same steps on the same values, so every
-one gives the bytes of sampling each position on its own.
+fraction), bilinear_corners (the four corner values) and bilinear_sum (their
+weighted sum, stated there only).  bilinear takes every layout of positions
+through one tiled loop, whose tiles serve every grid of a stack and take a
+column against a row without broadcasting it.  render_optical's bisection,
+whose positions stay in one cell, gathers the corners once and calls
+bilinear_sum alone.  Every path gives the bytes of sampling each position on
+its own.  sidecar_entry and check_integer are the input checks that several
+modules share.
 """
 
 from __future__ import annotations
@@ -186,6 +184,13 @@ def sidecar_entry(sidecar: dict, key: str, names) -> dict:
     return entry
 
 
+def check_integer(name: str, value, least: int) -> None:
+    """ValueError, naming name, unless value is an integer >= least; a numpy
+    integer counts, a bool or a float does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def bilinear(samples: np.ndarray, r, c, fill) -> np.ndarray:
     """Vectorized bilinear sampling at fractional (row, col) positions.
 
@@ -198,18 +203,17 @@ def bilinear(samples: np.ndarray, r, c, fill) -> np.ndarray:
 
     Each axis's in-grid test, first corner and fraction come from
     bilinear_axis, the corner values from bilinear_corners and the value
-    from bilinear_sum.  Where r and c are a column against a row, (n, 1)
-    against (1, m) or (1, m) against (n, 1), the axis terms are computed
-    once per row and once per column, and the off-grid positions, whole
-    output rows and columns, are written with fill.  Other positions are
-    taken BILINEAR_BLOCK at a time.  Either way the output is preallocated
-    and filled in blocks of at most BILINEAR_BLOCK positions, whose
-    temporaries, at most 64 KiB per grid, the allocator reuses.  A block's
-    corners serve every grid of the stack.  Each position gets the axis
-    terms and the corner sum it would get on its own, so every path gives
-    the bytes of an unblocked evaluation of each grid alone.
+    from bilinear_sum.  Positions other than a pair of 2-D arrays are taken
+    as one row.  One loop fills the preallocated result in tiles of whole
+    rows, or of BILINEAR_BLOCK positions of one row, writing fill where a
+    position is off the grid.  A tile takes r and c whole along an axis of
+    length one, so a column against a row gets its axis terms once per row
+    and once per column of a tile.  The allocator reuses a tile's
+    temporaries, at most 64 KiB per grid, and its corners serve every grid.
+    Each position gets the terms it would get on its own, so the result has
+    the bytes of an untiled evaluation of each grid alone.
     """
-    # contiguous, so each block's bilinear_corners flattens it as a view
+    # contiguous, so each tile's bilinear_corners flattens it as a view
     samples = np.ascontiguousarray(samples)
     if samples.ndim not in (2, 3):
         raise ValueError(f"samples must be one grid or a stack of grids, got {samples.ndim}D")
@@ -218,43 +222,25 @@ def bilinear(samples: np.ndarray, r, c, fill) -> np.ndarray:
     if fills.size != math.prod(stack):
         raise ValueError(f"need one fill per grid, got {fills.size} for {math.prod(stack)}")
     r, c = np.asarray(r, dtype=float), np.asarray(c, dtype=float)
-    column_row = (r.ndim == c.ndim == 2
-                  and 1 in (r.shape[1] * c.shape[0], r.shape[0] * c.shape[1]))
-    if not column_row and r.shape != c.shape:
-        r, c = np.broadcast_arrays(r, c)
-    out = np.empty((*stack, *np.broadcast(r, c).shape),
-                   dtype=np.result_type(samples.dtype, float))
-
-    if column_row:
-        # a column of positions against a row, taken in tiles of whole rows
-        # of the output, or of BILINEAR_BLOCK positions of one row
-        swap = r.shape[1] > 1 or c.shape[0] > 1  # c the column and r the row
-        n, m = out.shape[-2:]
-        col_axis = bilinear_axis(c if swap else r, cols if swap else rows)
-        row_axis = bilinear_axis(r if swap else c, rows if swap else cols)
-        fills = fills.reshape(*stack, 1, 1)
-        tile_rows = max(1, BILINEAR_BLOCK // max(m, 1))
-        for i in range(0, n, tile_rows):
-            for j in range(0, m, BILINEAR_BLOCK):
-                col_in, *col_terms = (a[i:i + tile_rows] for a in col_axis)
-                row_in, *row_terms = (a[:, j:j + BILINEAR_BLOCK] for a in row_axis)
-                (r0, fr), (c0, fc) = (row_terms, col_terms) if swap else (col_terms, row_terms)
-                v = out[..., i:i + tile_rows, j:j + BILINEAR_BLOCK]
-                bilinear_sum(bilinear_corners(samples, r0, c0), fr, fc, out=v)
-                # off the grid are whole output rows and whole output columns
-                v[..., ~col_in[:, 0], :] = fills
-                v[..., ~row_in[0]] = fills
-        return out
-    r_flat, c_flat = r.reshape(-1), c.reshape(-1)
-    out_flat = out.reshape(*stack, -1)
-    fills = fills.reshape(*stack, 1)
-    for lo in range(0, r_flat.size, BILINEAR_BLOCK):
-        block = slice(lo, lo + BILINEAR_BLOCK)
-        r_in, r0, fr = bilinear_axis(r_flat[block], rows)
-        c_in, c0, fc = bilinear_axis(c_flat[block], cols)
-        v = out_flat[..., block]
-        bilinear_sum(bilinear_corners(samples, r0, c0), fr, fc, out=v)
-        np.copyto(v, fills, where=~(r_in & c_in))
+    out = tiles = np.empty((*stack, *np.broadcast(r, c).shape),
+                           dtype=np.result_type(samples.dtype, float))
+    if not r.ndim == c.ndim == 2:
+        if r.shape != c.shape:
+            r, c = np.broadcast_arrays(r, c)
+        r, c, tiles = r.reshape(1, -1), c.reshape(1, -1), out.reshape(*stack, 1, -1)
+    fills = fills.reshape(*stack, 1, 1)
+    n, m = tiles.shape[-2:]
+    tile_rows = max(1, BILINEAR_BLOCK // max(m, 1))
+    for i in range(0, n, tile_rows):
+        for j in range(0, m, BILINEAR_BLOCK):
+            # a tile starts at 0 along an axis of length one, so takes it whole
+            r_in, r0, fr = bilinear_axis(
+                r[i * (len(r) > 1):i + tile_rows, j * (r.shape[1] > 1):j + BILINEAR_BLOCK], rows)
+            c_in, c0, fc = bilinear_axis(
+                c[i * (len(c) > 1):i + tile_rows, j * (c.shape[1] > 1):j + BILINEAR_BLOCK], cols)
+            v = tiles[..., i:i + tile_rows, j:j + BILINEAR_BLOCK]
+            bilinear_sum(bilinear_corners(samples, r0, c0), fr, fc, out=v)
+            np.copyto(v, fills, where=~(r_in & c_in))
     return out
 
 
@@ -321,8 +307,7 @@ def linear_bins(pos, n: int, wrap: bool = False):
     gets weight 0 (and index 0, so it stays a valid bin).  ValueError unless
     n is an integer >= 1.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"axis length must be an integer >= 1, got {n!r}")
+    check_integer("axis length", n, 1)
     pos = np.asarray(pos, dtype=float)
     lo = np.floor(pos)
     w_hi = pos - lo

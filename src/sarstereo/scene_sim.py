@@ -39,6 +39,7 @@ from sarstereo.raster import (
     bilinear_axis,
     bilinear_corners,
     bilinear_sum,
+    check_integer,
     linear_bins,
     soft_histogram,
 )
@@ -73,12 +74,6 @@ class Building:
             raise ValueError("building height must be finite and > 0")
 
 
-def _check_seed(name: str, seed) -> None:
-    """ValueError unless seed is an integer >= 0, as numpy's generators take."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {seed!r}")
-
-
 @dataclass(frozen=True)
 class SceneSpec:
     extent: tuple[float, float] = (500.0, 500.0)
@@ -94,7 +89,7 @@ class SceneSpec:
             raise ValueError("extent and gsd must be finite and positive")
         if not (math.isfinite(self.ground_height) and math.isfinite(self.texture_contrast)):
             raise ValueError("ground_height and texture_contrast must be finite")
-        _check_seed("texture_seed", self.texture_seed)
+        check_integer("texture_seed", self.texture_seed, 0)
         if min(self.shape) < 1:
             raise ValueError(f"extent {self.extent} at gsd {self.gsd} has no grid cell")
         for b in self.buildings:
@@ -122,7 +117,7 @@ class RenderNoise:
         if self.speckle_looks is not None and not 1 <= self.speckle_looks < math.inf:
             raise ValueError("speckle_looks must be None or finite and >= 1")
         # the renderers draw from seed + 1 and seed + 2
-        _check_seed("seed", self.seed)
+        check_integer("seed", self.seed, 0)
 
 
 def make_scene(spec: SceneSpec) -> tuple[Raster, Raster]:
@@ -181,6 +176,14 @@ def _vertex_bound(z: np.ndarray, lo: np.ndarray, hi: np.ndarray, fill: float,
     top = bilinear(z, r[:, None], c[None], fill).max(axis=(0, 1), initial=fill)
     out[few] = top + slack
     return out
+
+
+def _check_frame(shape) -> None:
+    """ValueError unless a renderer's frame shape is two integers >= 1."""
+    if np.shape(shape) != (2,):
+        raise ValueError(f"frame shape must be two integers >= 1, got {shape!r}")
+    for n in shape:
+        check_integer("frame shape entry", n, 1)
 
 
 def render_optical(
@@ -242,9 +245,7 @@ def render_optical(
     unless shape is two integers >= 1, and SceneNotVisible when the camera
     does not look down or when no downward ray's box overlaps the DEM.
     """
-    if not (np.shape(shape) == (2,)
-            and all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape)):
-        raise ValueError(f"frame shape must be two integers >= 1, got {shape!r}")
+    _check_frame(shape)
     grid = GroundGrid.from_raster(dem)
     z = dem.samples
     ground = float(z.min())
@@ -454,19 +455,21 @@ def render_sar(
     call per block, on the halo rows: one computation of the corners serves
     both grids, and each sample keeps the bytes of its own grid's call.  On
     a track along a grid axis (v_x or v_y exactly 0, v_z free) the samples'
-    x and y are a column and a row (_track_lines), so bilinear computes the
-    corners and fractions of each row and each column once, and per sample
+    x and y are a column and a row (_track_lines), which bilinear's tiles
+    take whole along their axis of length one: the corners and fractions
+    of each row and each column are computed once per tile, and per sample
     only the gathers and the weighted sum.  soft_histogram takes the blocks
     one after another and adds them in sample order, so the image is the
     one a single splat of all samples gives, byte for byte, and memory is
     O(block + output) instead of O(samples), plus the stacked copy of the
     two grids.
-    ValueError is raised unless the reflectance has the DEM's shape.
+    ValueError is raised before any work unless shape is two integers >= 1,
+    supersample is an integer >= 1 and the reflectance has the DEM's shape.
     Assumption: along an axis of the track frame that is one sample long
     the slope is taken as 0.
     """
-    if not (isinstance(supersample, (int, np.integer)) and supersample >= 1):
-        raise ValueError(f"supersample must be an integer >= 1, got {supersample!r}")
+    _check_frame(shape)
+    check_integer("supersample", supersample, 1)
     grid = GroundGrid.from_raster(dem)
     if reflectance.samples.shape != dem.samples.shape:
         raise ValueError(f"reflectance {reflectance.samples.shape} and DEM "

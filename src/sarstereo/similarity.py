@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from sarstereo.raster import BILINEAR_BLOCK, linear_bins, soft_histogram
+from sarstereo.raster import BILINEAR_BLOCK, check_integer, linear_bins, soft_histogram
 
 NCC = "NCC"
 MI = "MI"
@@ -190,11 +190,6 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-def _check_cells(cell: int, bins: int) -> None:
-    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (cell, bins)):
-        raise ValueError(f"cell and bins must be integers >= 1, got {cell!r} and {bins!r}")
-
-
 @lru_cache(maxsize=16)
 def _cell_index(side: int, cell: int) -> np.ndarray:
     """Flat cell index, row cell * n + column cell, of each pixel of the used window."""
@@ -241,7 +236,8 @@ def oriented_descriptor_from_maps(
     last whole cell are ignored.  Orientations are unsigned (period pi) and
     split linearly between the two nearest of the bins.
     """
-    _check_cells(cell, bins)
+    check_integer("cell", cell, 1)
+    check_integer("bins", bins, 1)
     side = mag.shape[0]
     if mag.shape != ori.shape or mag.shape != (side, side) or side // cell < 2:
         raise ValueError(
@@ -301,10 +297,13 @@ def sift_from_gradients(
     4x4 spatial cells of side equal to the scale, 8 signed orientation bins,
     keypoint orientation fixed at zero, Gaussian weighting with sigma equal
     to the scale, trilinear interpolation, then the usual normalize / clip
-    at 0.2 / renormalize.
+    at 0.2 / renormalize.  ValueError unless center_row and center_col are
+    integers >= 0, not bools, and the footprint lies within the maps.
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"SIFT scale must be finite and positive, got {scale!r}")
+    check_integer("center_row", center_row, 0)
+    check_integer("center_col", center_col, 0)
     d = SIFT_CELLS
     half, gauss, rows, cols = _sift_layout(scale)
     r0, r1 = center_row - half, center_row + half + 1
@@ -502,7 +501,8 @@ def hopc_descriptor(p: Patch, cell: int = 17, bins: int = 8) -> Descriptor:
     """HOG-style descriptor over phase congruency instead of gradients."""
     # the filter bank needs 32 px and the descriptor 2x2 cells: check both
     # before running the filter bank
-    _check_cells(cell, bins)
+    check_integer("cell", cell, 1)
+    check_integer("bins", bins, 1)
     if p.template_size < max(32, 2 * cell):
         raise ValueError(f"patch side must be at least 32 and span 2x2 cells of {cell} px")
     pc, ori = phase_congruency_maps(p.samples)

@@ -636,6 +636,7 @@ class TestSolverInputs:
     @pytest.mark.parametrize("kwargs", [
         dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")), dict(tol=float("inf")),
         dict(max_iterations=0), dict(max_iterations=-3), dict(max_iterations=1.5),
+        dict(max_iterations=True), dict(max_iterations=50.0),
     ])
     def test_bad_parameters_raise_before_linearizing(self, kwargs, monkeypatch):
         from sarstereo import intersection

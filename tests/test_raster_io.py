@@ -319,7 +319,8 @@ class TestBilinear:
         shape=st.tuples(st.integers(1, 7), st.integers(1, 9)),
         k=st.integers(1, 3),
         dtype=st.sampled_from([np.float32, np.float64]),
-        layout=st.sampled_from(["flat", "scalar", "broadcast", "blocks"]),
+        layout=st.sampled_from(["flat", "scalar", "broadcast", "blocks", "vertices",
+                                "tiles", "long rows"]),
         data=st.data(),
     )
     def test_every_grid_alone_and_in_a_stack_equals_oracle(self, shape, k, dtype, layout,
@@ -353,6 +354,17 @@ class TestBilinear:
         elif layout == "blocks":
             # across the edges of BILINEAR_BLOCK
             r, c = np.resize(r, B + 7), np.resize(c, B + 7)
+        elif layout == "vertices":
+            # (3, 1, m) against (1, 3, m), as render_optical's vertex bound passes
+            r = positions(rows, 3 * m).reshape(3, 1, m)
+            c = positions(cols, 3 * m).reshape(1, 3, m)
+        elif layout == "tiles":
+            # two full (3, B // 2 + 1) arrays: one output row per tile
+            r = np.resize(r, (3, B // 2 + 1))
+            c = np.resize(c, (3, B // 2 + 1))
+        elif layout == "long rows":
+            # a column against a row of more than one tile
+            r, c = r[:2, None], np.resize(c, B + 7)[None, :]
         want = [bilinear_oracle(g, r, c, f) for g, f in zip(stack, fills)]
         for g, f, w in zip(stack, fills, want):
             got = bilinear(g, r, c, f)
@@ -579,7 +591,7 @@ class TestSoftHistogram:
         assert got.tobytes() == soft_histogram_ravel(binned(slice(None)), shape, weight).tobytes()
 
     @pytest.mark.parametrize("wrap", [False, True])
-    @pytest.mark.parametrize("n", [0, -2, 2.0, "3", None])
+    @pytest.mark.parametrize("n", [0, -2, 2.0, "3", None, True, np.float64(3.0)])
     def test_linear_bins_rejects_bad_axis_length(self, n, wrap):
         with pytest.raises(ValueError, match="axis length"):
             linear_bins([0.5], n, wrap=wrap)

@@ -415,20 +415,24 @@ class TestRenderOptical:
         per_ray = peak / (opt_shape[0] * opt_shape[1])
         assert per_ray <= 160, f"peak {per_ray:.0f} B per ray"
 
+    @pytest.mark.parametrize("renderer", ["optical", "sar"])
     @pytest.mark.parametrize("shape", [(0, 20), (16, 0), (-3, 4), (16.0, 20.0), (16,),
-                                       (16, 20, 1), 16])
-    def test_rejects_frame_shape_that_is_not_two_positive_integers(self, shape,
+                                       (16, 20, 1), 16, (True, True), (True, 20),
+                                       (16, np.float64(20.0))])
+    def test_rejects_frame_shape_that_is_not_two_positive_integers(self, shape, renderer,
                                                                    monkeypatch):
         spec = SceneSpec(extent=(40.0, 30.0))
         dem, refl = make_scene(spec)
-        _, opt, _, _ = canonical_scene_models(spec)
+        sar, opt, _, _ = canonical_scene_models(spec)
 
-        def no_rays(*args):
-            raise AssertionError("a ray was built")
+        def no_work(*args):
+            raise AssertionError("a ray or a track was built")
 
-        monkeypatch.setattr(scene_sim, "opt_ray", no_rays)
+        monkeypatch.setattr(scene_sim, "opt_ray", no_work)
+        monkeypatch.setattr(scene_sim, "_track_lines", no_work)
+        render, model = {"optical": (render_optical, opt), "sar": (render_sar, sar)}[renderer]
         with pytest.raises(ValueError, match="frame shape"):
-            render_optical(dem, refl, opt, RenderNoise(), shape)
+            render(dem, refl, model, RenderNoise(), shape)
 
     def test_accepts_numpy_integer_shape(self):
         spec = SceneSpec(extent=(40.0, 30.0), texture_seed=1)
@@ -727,7 +731,7 @@ class TestRenderSar:
         bound = 64 * sar_shape[0] * sar_shape[1] + 4 * 2**20
         assert peak <= bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
-    @pytest.mark.parametrize("supersample", [0, -3, 2.5])
+    @pytest.mark.parametrize("supersample", [0, -3, 2.5, True, 2.0])
     def test_rejects_supersample_that_is_not_a_positive_integer(self, supersample):
         spec = SceneSpec(extent=(20, 20))
         dem, refl = make_scene(spec)

@@ -772,6 +772,17 @@ class TestLayoutCaches:
 
 
 class TestDescriptorParameters:
+    @pytest.mark.parametrize("row, col, name", [
+        (30.0, 35, "center_row"), (True, 35, "center_row"), (-1, 35, "center_row"),
+        ("30", 35, "center_row"), (30, np.float64(35.0), "center_col"),
+        (30, False, "center_col"),
+    ])
+    def test_sift_rejects_centre_that_is_not_an_integer_from_0(self, row, col, name):
+        # 30.0 failed with a TypeError from slicing, and True was taken as row 1
+        gx, gy = np.random.default_rng(4).standard_normal((2, 100, 100))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+            sift_from_gradients(gx, gy, row, col)
+
     @pytest.mark.parametrize("scale", [-10.0, 0.0, np.nan, np.inf, -np.inf])
     def test_sift_rejects_scale(self, scale):
         gx, gy = np.random.default_rng(4).standard_normal((2, 100, 100))
@@ -782,9 +793,11 @@ class TestDescriptorParameters:
             sift_descriptor(Patch(gx[:51, :51]), scale=scale)
         assert similarity._sift_layout.cache_info() == before
 
-    @pytest.mark.parametrize("cell, bins", [(0, 8), (-17, 8), (2.5, 8), (17, 0), (17, -1),
-                                            (17, 8.0)])
-    def test_cells_and_bins_rejected(self, cell, bins, monkeypatch):
+    @pytest.mark.parametrize("cell, bins, name", [
+        (0, 8, "cell"), (-17, 8, "cell"), (2.5, 8, "cell"), (True, 8, "cell"),
+        (17, 0, "bins"), (17, -1, "bins"), (17, 8.0, "bins"), (17, True, "bins"),
+    ])
+    def test_cells_and_bins_rejected(self, cell, bins, name, monkeypatch):
         def no_filter_bank(*args, **kwargs):
             pytest.fail("the filter bank ran with invalid cell or bins")
 
@@ -799,6 +812,6 @@ class TestDescriptorParameters:
             lambda: hog_descriptor(patch, cell, bins),
             lambda: hopc_descriptor(patch, cell, bins),
         ):
-            with pytest.raises(ValueError, match="cell and bins"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
                 describe()
         assert similarity._cell_index.cache_info() == before
