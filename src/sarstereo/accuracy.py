@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sarstereo.raster import check_integer
+from sarstereo.raster import check_integer_pair
 
 OPPOSITE = "opposite_side"
 SAME = "same_side"
@@ -175,10 +175,7 @@ def accuracy_grid(
         raise ValueError("theta range must lie within (0, 90) degrees")
     if not all(-90.0 < a < 90.0 for a in alpha_range_deg):
         raise ValueError("alpha range must lie within (-90, 90) degrees")
-    if len(steps) != 2:
-        raise ValueError(f"steps must be two integers >= 1, got {steps!r}")
-    for n in steps:
-        check_integer("steps", n, 1)
+    check_integer_pair("steps", steps, 1)
     # a configuration with a valid alpha checks every other input, so the
     # cells below need only their alpha tested for a viewing side
     StereoConfig(mode, np.deg2rad(theta_range_deg[0]), np.deg2rad(45.0), hs, ho,

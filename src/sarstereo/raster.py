@@ -19,8 +19,8 @@ through one tiled loop, whose tiles serve every grid of a stack and take a
 column against a row without broadcasting it.  render_optical's bisection,
 whose positions stay in one cell, gathers the corners once and calls
 bilinear_sum alone.  Every path gives the bytes of sampling each position on
-its own.  sidecar_entry and check_integer are the input checks that several
-modules share.
+its own.  sidecar_entry, check_integer and check_integer_pair are the input
+checks that several modules share.
 """
 
 from __future__ import annotations
@@ -191,6 +191,19 @@ def check_integer(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_integer_pair(name: str, value, least: int) -> None:
+    """ValueError, naming name, unless value is a sequence of two integers
+    >= least, each as check_integer takes it."""
+    try:
+        pair = len(value) == 2
+    except TypeError:  # a number or None has no length
+        pair = False
+    if not pair:
+        raise ValueError(f"{name} must be two integers >= {least}, got {value!r}")
+    for n in value:
+        check_integer(f"{name} entry", n, least)
+
+
 def bilinear(samples: np.ndarray, r, c, fill) -> np.ndarray:
     """Vectorized bilinear sampling at fractional (row, col) positions.
 
@@ -335,8 +348,15 @@ def soft_histogram(axes, shape: tuple[int, ...], weight, more=()) -> np.ndarray:
     soft axis or one (index, None) for a hard one; the indices broadcast to
     weight's shape and each lies in [0, n) of its axis, as linear_bins'
     always do.  Each sample adds weight times its corner weights to every
-    combination of corners.  Only one combination's flat index and weights
-    are alive at a time.
+    combination of corners, multiplied in axis by axis.  Only one
+    combination's flat index and weights are alive at a time.
+
+    A corner weight may also be a tuple of factors, multiplied in in order,
+    so several axes can be passed combined into one: a corner of the
+    combined axis carries the flat offset of its corners on those axes and
+    their weights as a tuple.  With the corners listed in the order of
+    itertools.product over the axes it replaces, every product and sum is
+    the one of the separate axes, and so are the bytes.
 
     more holds further consecutive blocks of samples, each an (axes, weight)
     pair like the first; a generator keeps one block alive at a time.  Each
@@ -350,8 +370,8 @@ def soft_histogram(axes, shape: tuple[int, ...], weight, more=()) -> np.ndarray:
     The flat index is stride arithmetic on the axes' indices, and the inputs
     are only read, so axes that depend only on a window's geometry can be
     built once and passed again: sarstereo.similarity caches the HOG/HOPC
-    cell index per (side, cell) and the SIFT spatial corners per scale as
-    read-only arrays.
+    cell index per (side, cell) and SIFT's combined spatial corners per
+    scale as read-only arrays.
     """
     strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
     size = math.prod(shape)
@@ -364,8 +384,9 @@ def soft_histogram(axes, shape: tuple[int, ...], weight, more=()) -> np.ndarray:
                 flat = idx * stride + flat
             w = weight
             for _, wi in corner:
-                if wi is not None:
-                    w = weight * wi if w is weight else np.multiply(w, wi, out=w)
+                for f in wi if isinstance(wi, tuple) else (wi,):
+                    if f is not None:
+                        w = weight * f if w is weight else np.multiply(w, f, out=w)
             if k < len(acc):
                 np.add.at(acc[k], flat.ravel(), w.ravel())
             else:

@@ -40,6 +40,7 @@ from sarstereo.raster import (
     bilinear_corners,
     bilinear_sum,
     check_integer,
+    check_integer_pair,
     linear_bins,
     soft_histogram,
 )
@@ -114,8 +115,11 @@ class RenderNoise:
     def __post_init__(self):
         if not 0 <= self.optical_sigma < math.inf:
             raise ValueError("optical_sigma must be finite and >= 0")
-        if self.speckle_looks is not None and not 1 <= self.speckle_looks < math.inf:
-            raise ValueError("speckle_looks must be None or finite and >= 1")
+        looks = self.speckle_looks
+        # a bool compares as 0 or 1, so True rendered one look
+        if looks is not None and (isinstance(looks, bool) or not 1 <= looks < math.inf):
+            raise ValueError(f"speckle_looks must be None or a finite number >= 1, "
+                             f"not a bool, got {looks!r}")
         # the renderers draw from seed + 1 and seed + 2
         check_integer("seed", self.seed, 0)
 
@@ -178,14 +182,6 @@ def _vertex_bound(z: np.ndarray, lo: np.ndarray, hi: np.ndarray, fill: float,
     return out
 
 
-def _check_frame(shape) -> None:
-    """ValueError unless a renderer's frame shape is two integers >= 1."""
-    if np.shape(shape) != (2,):
-        raise ValueError(f"frame shape must be two integers >= 1, got {shape!r}")
-    for n in shape:
-        check_integer("frame shape entry", n, 1)
-
-
 def render_optical(
     dem: Raster,
     reflectance: Raster,
@@ -245,7 +241,7 @@ def render_optical(
     unless shape is two integers >= 1, and SceneNotVisible when the camera
     does not look down or when no downward ray's box overlaps the DEM.
     """
-    _check_frame(shape)
+    check_integer_pair("frame shape", shape, 1)
     grid = GroundGrid.from_raster(dem)
     z = dem.samples
     ground = float(z.min())
@@ -468,7 +464,7 @@ def render_sar(
     Assumption: along an axis of the track frame that is one sample long
     the slope is taken as 0.
     """
-    _check_frame(shape)
+    check_integer_pair("frame shape", shape, 1)
     check_integer("supersample", supersample, 1)
     grid = GroundGrid.from_raster(dem)
     if reflectance.samples.shape != dem.samples.shape:

@@ -16,12 +16,20 @@ HOG, SIFT and HOPC bin their orientations with raster.soft_histogram.
 What depends only on a window's geometry is built once and cached as
 read-only arrays, so that an in-place write by a caller raises instead of
 altering later calls: the flat cell index of HOG and HOPC per (window side,
-cell), SIFT's footprint half-size, Gaussian weight and spatial bin corners
-per scale, and the log-Gabor filter bank of phase congruency per image
-shape (80 B per pixel of its shape, for up to 8 shapes).  A descriptor call
-then does only per-pixel work: the magnitudes, the orientation corners and
-one bincount per combination of corners.  A cell, bin count or scale out of
+cell), SIFT's footprint half-size, Gaussian weight and spatial corners per
+scale (the 4 row and column corner pairs, each as a flat offset into the
+4x4x8 histogram with its two weights), and the log-Gabor filter bank of
+phase congruency per image shape (80 B per pixel of its shape, for up to 8
+shapes).  A descriptor call then does only per-pixel work: the magnitudes,
+the orientation corners (for SIFT, added to the spatial offsets) and one
+bincount per combination of corners.  A cell, bin count or scale out of
 range raises ValueError before any cache is read.
+
+What depends only on one patch is kept by the Patch: its centred samples
+and standard deviation for ncc, and its intensity bin indices for nmi, each
+computed on first use.  A matcher that scores one optical patch against
+many candidates computes that patch's terms once.  A constant patch keeps
+nothing and raises on every call.
 
 A map-path descriptor (oriented_descriptor_from_maps, hopc_from_maps on a
 window of whole-image maps) is not the per-patch one, so score both sides of
@@ -37,9 +45,10 @@ the patch border.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,23 +94,46 @@ class LayoutMismatch(SimilarityError):
 
 @dataclass(frozen=True)
 class Patch:
-    """Square odd-sized sample grid extracted around a point."""
+    """Square odd-sized sample grid extracted around a point.
+
+    samples is a read-only float64 copy of the grid passed in, so a later
+    write into that grid changes neither the patch nor the terms it keeps
+    for ncc and nmi, and a write into samples raises.
+    """
 
     samples: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.samples, dtype=float)
+        a = np.array(self.samples, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"patch must be square, got {a.shape}")
         if a.shape[0] % 2 == 0:
             raise ValueError(f"patch side must be odd, got {a.shape[0]}")
         if not np.all(np.isfinite(a)):
             raise ValueError("patch contains non-finite samples")
+        _read_only(a)
         object.__setattr__(self, "samples", a)
 
     @property
     def template_size(self) -> int:
         return self.samples.shape[0]
+
+    @cached_property
+    def _ncc_terms(self) -> tuple[np.ndarray, float]:
+        """The centred samples and their standard deviation, N - 1 normalized;
+        ncc reads them only for patches of more than one sample."""
+        centred = self.samples - self.samples.mean()
+        sigma = np.sqrt(np.sum(centred * centred) / (self.samples.size - 1))
+        _read_only(centred)
+        return centred, sigma
+
+    @cached_property
+    def _nmi_bins(self) -> np.ndarray:
+        """The flat intensity bin index of each sample; DegenerateHistogram,
+        which is not kept, if the patch is constant."""
+        bins = _quantize(self.samples, NMI_BINS).ravel()
+        _read_only(bins)
+        return bins
 
 
 @dataclass(frozen=True)
@@ -137,10 +169,8 @@ def ncc(i: Patch, j: Patch) -> SimilarityScore:
     n = a.size
     if n == 1:
         raise ConstantPatch("a one-sample patch has no variance")
-    da = a - a.mean()
-    db = b - b.mean()
-    sa = np.sqrt(np.sum(da * da) / (n - 1))
-    sb = np.sqrt(np.sum(db * db) / (n - 1))
+    da, sa = i._ncc_terms
+    db, sb = j._ncc_terms
     if sa == 0.0 or sb == 0.0:
         raise ConstantPatch("zero variance patch in NCC")
     rho = float(np.sum(da * db) / ((n - 1) * sa * sb))
@@ -164,12 +194,9 @@ def _entropy(p: np.ndarray) -> float:
 
 def nmi(i: Patch, j: Patch) -> SimilarityScore:
     """Normalized mutual information (H(I) + H(J)) / H(I, J) in [1, 2]."""
-    a, b = i.samples, j.samples
-    if a.shape != b.shape:
+    if i.samples.shape != j.samples.shape:
         raise ValueError("patches must have equal sizes")
-    ia = _quantize(a, NMI_BINS)
-    ib = _quantize(b, NMI_BINS)
-    joint = np.bincount(ia.ravel() * NMI_BINS + ib.ravel(), minlength=NMI_BINS**2)
+    joint = np.bincount(i._nmi_bins * NMI_BINS + j._nmi_bins, minlength=NMI_BINS**2)
     pj = joint / joint.sum()
     pa = pj.reshape(NMI_BINS, NMI_BINS).sum(axis=1)
     pb = pj.reshape(NMI_BINS, NMI_BINS).sum(axis=0)
@@ -269,11 +296,17 @@ def hog_descriptor(p: Patch, cell: int = 17, bins: int = 8) -> Descriptor:
 # ---------------------------------------------------------------------------
 
 SIFT_CELLS = 4  # spatial cells per side
+SIFT_BINS = 8  # signed orientation bins per cell
 
 
 @lru_cache(maxsize=8)
 def _sift_layout(scale: float):
-    """Footprint half-size, Gaussian weight and spatial corners at this scale."""
+    """Footprint half-size, Gaussian weight and spatial corners at this scale.
+
+    The spatial corners are the 4 (row corner, column corner) pairs in the
+    order of itertools.product, each the flat offset row * 32 + column * 8
+    of its 4x4x8 histogram cell with the weights (w_row, w_col).
+    """
     half = int(round(SIFT_CELLS / 2 * scale))
     off = np.arange(-half, half + 1, dtype=float)
     # whole footprints: the per-corner products run faster without broadcasting
@@ -281,8 +314,10 @@ def _sift_layout(scale: float):
     gauss = np.exp(-(du * du + dv * dv) / (2.0 * scale * scale))
     rows = linear_bins(dv / scale + (SIFT_CELLS - 1) / 2.0, SIFT_CELLS)
     cols = linear_bins(du / scale + (SIFT_CELLS - 1) / 2.0, SIFT_CELLS)
-    _read_only(gauss, *(a for corner in rows + cols for a in corner))
-    return half, gauss, rows, cols
+    spatial = tuple((r * (SIFT_CELLS * SIFT_BINS) + c * SIFT_BINS, (wr, wc))
+                    for (r, wr), (c, wc) in itertools.product(rows, cols))
+    _read_only(gauss, *(a for offset, weights in spatial for a in (offset, *weights)))
+    return half, gauss, spatial
 
 
 def sift_from_gradients(
@@ -304,27 +339,29 @@ def sift_from_gradients(
         raise ValueError(f"SIFT scale must be finite and positive, got {scale!r}")
     check_integer("center_row", center_row, 0)
     check_integer("center_col", center_col, 0)
-    d = SIFT_CELLS
-    half, gauss, rows, cols = _sift_layout(scale)
+    d, nb = SIFT_CELLS, SIFT_BINS
+    half, gauss, spatial = _sift_layout(scale)
     r0, r1 = center_row - half, center_row + half + 1
     c0, c1 = center_col - half, center_col + half + 1
     if r0 < 0 or c0 < 0 or r1 > gx.shape[0] or c1 > gx.shape[1]:
         raise ValueError("patch too small for the 4x4-cell footprint")
     wx = gx[r0:r1, c0:c1]
     wy = gy[r0:r1, c0:c1]
-    hist = soft_histogram(
-        (rows, cols, _orientation_bins(np.arctan2(wy, wx), 2 * np.pi, 8)),
-        (d, d, 8),
+    ori = _orientation_bins(np.arctan2(wy, wx), 2 * np.pi, nb)
+    # the (row, column, orientation) axes as one axis of 8 corners, in the
+    # order of their product, so the splat's products and sums are theirs
+    vec = soft_histogram(
+        ([(offset + o, (*weights, wo)) for offset, weights in spatial for o, wo in ori],),
+        (d * d * nb,),
         np.hypot(wx, wy) * gauss,
     )
-    vec = hist.ravel()
     norm = np.linalg.norm(vec)
     if norm > 0:
         vec = np.minimum(vec / norm, SIFT_CLIP)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec = vec / norm
-    return Descriptor(values=vec, layout=(d, d, 8))
+    return Descriptor(values=vec, layout=(d, d, nb))
 
 
 def sift_descriptor(p: Patch, scale: float = 10.0) -> Descriptor:

@@ -462,6 +462,7 @@ class TestAccuracyGrid:
 
     @pytest.mark.parametrize("steps", [
         (0, 3), (3,), (2.5, 3), (-1, 3), (3, 4, 5), (True, 3), (3, np.float64(2.0)),
+        5, None,
     ])
     def test_malformed_steps_raise_before_any_work(self, steps, monkeypatch):
         monkeypatch.setattr(accuracy, "_partials", None)

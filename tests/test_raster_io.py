@@ -589,6 +589,14 @@ class TestSoftHistogram:
         assert got.shape == shape and got.dtype == np.float64
         assert got.tobytes() == one.tobytes()
         assert got.tobytes() == soft_histogram_ravel(binned(slice(None)), shape, weight).tobytes()
+        if len(shape) >= 2:
+            # the first two axes as one: each corner pair as the flat offset
+            # of its two indices with the tuple of their weights
+            first, second, *rest = binned(slice(None))
+            merged = [(ia * shape[1] + ib, tuple(w for w in (wa, wb) if w is not None) or None)
+                      for (ia, wa), (ib, wb) in itertools.product(first, second)]
+            got = soft_histogram([merged, *rest], (shape[0] * shape[1], *shape[2:]), weight)
+            assert got.tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("wrap", [False, True])
     @pytest.mark.parametrize("n", [0, -2, 2.0, "3", None, True, np.float64(3.0)])

@@ -176,7 +176,7 @@ class TestRenderNoise:
     @pytest.mark.parametrize("kwargs", [
         {"optical_sigma": np.nan}, {"optical_sigma": np.inf}, {"optical_sigma": -1.0},
         {"speckle_looks": np.inf}, {"speckle_looks": np.nan}, {"speckle_looks": 0},
-        {"speckle_looks": 0.5},
+        {"speckle_looks": 0.5}, {"speckle_looks": True}, {"speckle_looks": False},
         {"seed": -5}, {"seed": 2.5}, {"seed": None}, {"seed": True}, {"seed": "3"},
     ])
     def test_rejects_non_finite_or_out_of_range_settings(self, kwargs):

@@ -77,6 +77,60 @@ class TestPatchType:
         assert Patch(np.zeros((221, 221))).template_size == 221
 
 
+class TestPatchTerms:
+    """ncc and nmi take each patch's centred samples, deviation and bin
+    indices from the Patch, which computes them on first use."""
+
+    def test_writes_into_the_source_leave_scores_unchanged(self):
+        source = smooth_field(51, seed=3, hi=40.0)
+        other = Patch(smooth_field(51, seed=4, hi=40.0))
+        used, unused = Patch(source), Patch(source)
+
+        def scores(p):
+            return [measure(*pair).value for measure in (ncc, nmi)
+                    for pair in ((p, other), (other, p))]
+
+        before = scores(used)
+        source[:] = 0.0
+        assert scores(used) == scores(unused) == before
+
+    def test_samples_are_a_read_only_copy(self):
+        source = smooth_field(11, seed=1)
+        p = Patch(source)
+        assert p.samples.dtype == np.float64 and not np.shares_memory(p.samples, source)
+        with pytest.raises(ValueError):
+            p.samples[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            p.samples *= 2
+
+    @pytest.mark.parametrize("measure, error", [(ncc, ConstantPatch), (nmi, DegenerateHistogram)])
+    def test_constant_patch_raises_on_every_call(self, measure, error):
+        flat = Patch(np.full((21, 21), 3.5))
+        other = Patch(smooth_field(21, seed=5))
+        for _ in range(3):
+            with pytest.raises(error):
+                measure(flat, other)
+            with pytest.raises(error):
+                measure(other, flat)
+
+    def test_reused_optical_patch_gives_the_bytes_of_fresh_patches(self):
+        # a matcher scores each tie point's 69 candidates, SAR windows along
+        # its search line, against one optical Patch
+        optical, sar_db = stereo_scene_images(61)
+
+        def window(img, row, col):
+            return img[row - 25:row + 26, col - 25:col + 26]
+
+        for row, col in ((60, 60), (100, 140), (150, 90)):
+            reused = Patch(window(optical, row, col))
+            for cand in range(80, 80 + 69):
+                sar = window(sar_db, row, cand)
+                for measure in (ncc, nmi):
+                    got = measure(reused, Patch(sar)).value
+                    fresh = measure(Patch(window(optical, row, col)), Patch(sar)).value
+                    assert np.float64(got).tobytes() == np.float64(fresh).tobytes()
+
+
 class TestNcc:
     def test_self_correlation_is_one(self, textured):
         assert ncc(textured, textured).value == 1.0
@@ -763,9 +817,11 @@ class TestLayoutCaches:
 
     def test_cached_arrays_are_read_only(self):
         radials, spreads = similarity._log_gabor_bank((40, 44))
-        _, gauss, rows, cols = similarity._sift_layout(10.0)
+        _, gauss, spatial = similarity._sift_layout(10.0)
+        assert len(spatial) == 4
         cached = [*radials, *spreads, similarity._cell_index(51, 17), gauss]
-        cached += [a for corner in rows + cols for a in corner]
+        # each spatial corner's flat offset and its row and column weights
+        cached += [a for offset, weights in spatial for a in (offset, *weights)]
         for a in cached:
             with pytest.raises(ValueError):
                 a *= 2
