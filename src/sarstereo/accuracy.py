@@ -142,7 +142,7 @@ def normalized_height_accuracy(cfg: StereoConfig) -> float:
     return float(np.hypot(dh_dr, dh_dalpha * cfg.sigma_alpha_factor))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccuracyGrid:
     """Dense sweep of normalized height accuracy over (theta, alpha)."""
 

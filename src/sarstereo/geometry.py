@@ -26,6 +26,10 @@ opt_inverse_at_height take and return the dataclasses below, call the
 array forms, and raise the typed error of the failure instead:
 BehindCamera for the forward projection, RayParallelToPlane for the
 inverse.  sar_inverse_at_height is scalar only.
+
+The sensor models store each scalar field as the Python float that
+raster.check_real returns, and each vector as three such floats in a float64
+array, so a numpy scalar type cannot change the geometry.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from sarstereo.raster import sidecar_entry
+from sarstereo.raster import check_real, sidecar_entry
 
 
 class GeometryError(Exception):
@@ -58,20 +62,20 @@ class RayParallelToPlane(GeometryError):
     """Viewing ray does not intersect the height plane."""
 
 
-def _vec3(v) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
+def _vec3(name: str, v) -> np.ndarray:
+    """v as a float64 3-vector; ValueError, naming name, unless it has three
+    entries, each as check_real takes it."""
+    a = np.asarray(v, dtype=object)  # keeps a bool or a string as it is
     if a.shape != (3,):
-        raise ValueError(f"expected 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite 3-vector")
-    return a
+        raise ValueError(f"{name} must be a 3-vector, got shape {a.shape}")
+    return np.array([check_real(f"{name} entry", x) for x in a])
 
 
-def _check_finite(model, names) -> None:
-    """ValueError naming the first field of names that is not finite."""
+def _store_reals(model, names, positive: str) -> None:
+    """Store each field of names as check_real returns it; positive's is > 0."""
     for name in names:
-        if not math.isfinite(getattr(model, name)):
-            raise ValueError(f"{type(model).__name__} requires a finite {name}")
+        above = 0.0 if name == positive else -math.inf
+        object.__setattr__(model, name, check_real(name, getattr(model, name), above))
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,6 @@ class GroundPoint:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.h])
-
-    @staticmethod
-    def from_array(a) -> "GroundPoint":
-        return GroundPoint(float(a[0]), float(a[1]), float(a[2]))
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class SarObservation:
             raise ValueError("SarObservation requires finite t and r > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SarSensorModel:
     """Linear zero-Doppler orbit with timing/range-to-pixel mapping.
 
@@ -136,13 +136,12 @@ class SarSensorModel:
     look_side: str = "right"
 
     def __post_init__(self):
-        object.__setattr__(self, "s0", _vec3(self.s0))
-        object.__setattr__(self, "v", _vec3(self.v))
-        _check_finite(self, ("t0", "az_time_per_row", "r_near", "range_per_col"))
+        object.__setattr__(self, "s0", _vec3("s0", self.s0))
+        object.__setattr__(self, "v", _vec3("v", self.v))
+        _store_reals(self, ("t0", "az_time_per_row", "r_near", "range_per_col"),
+                     positive="range_per_col")
         if np.linalg.norm(self.v) <= 0:
             raise ValueError("SarSensorModel requires |v| > 0")
-        if self.range_per_col <= 0:
-            raise ValueError("SarSensorModel requires range_per_col > 0")
         if self.az_time_per_row == 0:
             raise ValueError("SarSensorModel requires az_time_per_row != 0")
         if self.look_side not in ("left", "right"):
@@ -165,7 +164,7 @@ class SarSensorModel:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpticalSensorModel:
     """Central projection camera: projection center, angles, focal in pixels."""
 
@@ -176,22 +175,14 @@ class OpticalSensorModel:
     focal: float = 1.0
     principal_row: float = 0.0
     principal_col: float = 0.0
-    _rot: np.ndarray = field(init=False, repr=False, compare=False)
+    rotation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pc", _vec3(self.pc))
-        _check_finite(self, ("focal", "principal_row", "principal_col"))
-        if not self.focal > 0:
-            raise ValueError("OpticalSensorModel requires focal > 0")
-        rot = rotation_from_angles(self.phi, self.omega, self.kappa)
-        err = np.abs(rot @ rot.T - np.eye(3)).max()
-        if err > 1e-12 or abs(np.linalg.det(rot) - 1.0) > 1e-12:
-            raise ValueError("rotation is not orthonormal with det +1")
-        object.__setattr__(self, "_rot", rot)
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return self._rot
+        object.__setattr__(self, "pc", _vec3("pc", self.pc))
+        _store_reals(self, ("phi", "omega", "kappa", "focal", "principal_row",
+                            "principal_col"), positive="focal")
+        object.__setattr__(self, "rotation",
+                           rotation_from_angles(self.phi, self.omega, self.kappa))
 
 
 _SIDECAR_KEYS = {"sar_model": SarSensorModel, "optical_model": OpticalSensorModel}
@@ -199,8 +190,8 @@ _SIDECAR_KEYS = {"sar_model": SarSensorModel, "optical_model": OpticalSensorMode
 
 def model_to_sidecar(model) -> dict:
     """Raster sidecar entry of a model: {"sar_model" | "optical_model": fields}."""
-    key = "sar_model" if isinstance(model, SarSensorModel) else "optical_model"
-    # tolist turns vectors into lists and numpy scalars into Python numbers
+    key, = (k for k, cls in _SIDECAR_KEYS.items() if isinstance(model, cls))
+    # tolist turns the vectors into lists and keeps floats and strings
     return {key: {f.name: np.asarray(getattr(model, f.name)).tolist()
                   for f in fields(model) if f.init}}
 

@@ -93,7 +93,7 @@ class ObservationWeights:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntersectionResult:
     point: GroundPoint
     covariance: np.ndarray

@@ -19,8 +19,9 @@ through one tiled loop, whose tiles serve every grid of a stack and take a
 column against a row without broadcasting it.  render_optical's bisection,
 whose positions stay in one cell, gathers the corners once and calls
 bilinear_sum alone.  Every path gives the bytes of sampling each position on
-its own.  sidecar_entry, check_integer and check_integer_pair are the input
-checks that several modules share.
+its own.  sidecar_entry, check_integer, check_integer_pair and check_real
+(the one rule for a real number, sidecars' included) are the input checks
+that several modules share.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class OutsideDem(Exception):
     """Query point outside the gridded coverage."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Raster:
     """2D sample grid with optional nodata sentinel and sidecar metadata."""
 
@@ -88,13 +89,6 @@ class Raster:
         if np.isnan(self.nodata):
             return ~np.isnan(self.samples)  # NaN compares unequal to itself
         return self.samples != np.float32(self.nodata)
-
-    def mean(self) -> float:
-        """Mean of valid samples; nodata is excluded from all statistics."""
-        m = self.valid_mask()
-        if not m.any():
-            raise ValueError("raster has no valid samples")
-        return float(self.samples[m].mean())
 
 
 def _atomic_write(path: Path, payload: bytes) -> None:
@@ -132,7 +126,13 @@ def save_raster(raster: Raster, path) -> None:
         sidecar_path.unlink(missing_ok=True)
 
 
-def _load_rflt(blob: bytes, path: Path) -> Raster:
+def load_raster(path) -> Raster:
+    """Read an RFLT file and its <path>.json sidecar, if any; ValueError,
+    naming the sidecar, when it holds JSON other than an object."""
+    path = Path(path)
+    blob = path.read_bytes()
+    if not blob.startswith(b"RFLT"):
+        raise BadMagic(f"{path}: unknown format signature {blob[:4]!r}")
     newline = blob.find(b"\n")
     if newline < 0:
         raise BadMagic(f"{path}: missing header line")
@@ -155,19 +155,11 @@ def _load_rflt(blob: bytes, path: Path) -> Raster:
             f"{path}: expected {expected} payload bytes, got {len(payload)}"
         )
     samples = np.frombuffer(payload[:expected], dtype="<f4").reshape(rows, cols)
-    return Raster(samples=samples.copy(), nodata=nodata)
-
-
-def load_raster(path) -> Raster:
-    path = Path(path)
-    blob = path.read_bytes()
-    if not blob.startswith(b"RFLT"):
-        raise BadMagic(f"{path}: unknown format signature {blob[:4]!r}")
-    raster = _load_rflt(blob, path)
     sidecar_path = path.with_name(path.name + ".json")
-    if sidecar_path.exists():
-        raster.sidecar = json.loads(sidecar_path.read_text())
-    return raster
+    sidecar = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{sidecar_path}: sidecar is not a JSON object: {sidecar!r}")
+    return Raster(samples=samples.copy(), nodata=nodata, sidecar=sidecar)
 
 
 def sidecar_entry(sidecar: dict, key: str, names) -> dict:
@@ -202,6 +194,22 @@ def check_integer_pair(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be two integers >= {least}, got {value!r}")
     for n in value:
         check_integer(f"{name} entry", n, least)
+
+
+def check_real(name: str, value, above: float = -math.inf) -> float:
+    """value as a Python float; ValueError, naming name, unless it is a
+    finite real number > above.  A numpy scalar counts, a bool, a string,
+    None or an array does not."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond float range
+            x = math.inf
+        if math.isfinite(x) and x > above:
+            return x
+    bound = "" if above == -math.inf else f" > {above:g}"
+    raise ValueError(f"expected a finite {name}{bound} (a real number, not a bool), "
+                     f"got {value!r}")
 
 
 def bilinear(samples: np.ndarray, r, c, fill) -> np.ndarray:
@@ -402,7 +410,7 @@ def soft_histogram(axes, shape: tuple[int, ...], weight, more=()) -> np.ndarray:
     return hist.reshape(shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundGrid:
     """A raster indexed by ground coordinates (cell centers on a square grid).
 
@@ -420,17 +428,12 @@ class GroundGrid:
 
         ValueError, naming the field at fault (see sidecar_entry), unless
         the geotransform is an object whose x0 and y0 are finite numbers and
-        whose step is a finite number > 0; a bool is not a number here.
+        whose step is a finite number > 0, each as check_real takes it.
         """
-        names = ("x0", "y0", "step")
-        gt = sidecar_entry(raster.sidecar, "geotransform", names)
-        for name in names:
-            v = gt[name]
-            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and math.isfinite(v) and (name != "step" or v > 0)):
-                raise ValueError(f"geotransform {name} must be a finite number"
-                                 f"{' > 0' if name == 'step' else ''}, got {v!r}")
-        return GroundGrid(raster, *(float(gt[n]) for n in names))
+        gt = sidecar_entry(raster.sidecar, "geotransform", ("x0", "y0", "step"))
+        return GroundGrid(raster, check_real("geotransform x0", gt["x0"]),
+                          check_real("geotransform y0", gt["y0"]),
+                          check_real("geotransform step", gt["step"], above=0.0))
 
     def cell_of(self, x: float, y: float) -> tuple[float, float]:
         return (y - self.y0) / self.step, (x - self.x0) / self.step

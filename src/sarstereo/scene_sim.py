@@ -41,6 +41,7 @@ from sarstereo.raster import (
     bilinear_sum,
     check_integer,
     check_integer_pair,
+    check_real,
     linear_bins,
     soft_histogram,
 )
@@ -559,10 +560,13 @@ def canonical_scene_models(
     (east) edge, plus MARGIN_PX columns.  The optical camera is nadir at
     height OPT_HEIGHT above the scene center with kappa = pi, which makes
     image rows/cols increase with ground y/x at 1 pixel per GSD.  Returned
-    shapes are (rows, cols) for the SAR and optical rasters.  ValueError is
-    raised unless 0 < sar_theta_deg < 90, which a NaN fails.
+    shapes are (rows, cols) for the SAR and optical rasters.  sar_theta_deg
+    may be of any real type except bool, a numpy scalar included, and is
+    taken as a Python float (raster.check_real); ValueError, naming it,
+    unless 0 < sar_theta_deg < 90.
     """
-    if not 0.0 < sar_theta_deg < 90.0:
+    sar_theta_deg = check_real("sar_theta_deg", sar_theta_deg, above=0.0)
+    if not sar_theta_deg < 90.0:
         raise ValueError(f"sar_theta_deg must lie in (0, 90), got {sar_theta_deg!r}")
     ex, ey = spec.extent
     g = spec.gsd
@@ -575,8 +579,8 @@ def canonical_scene_models(
     r_at = lambda xx, hh: float(np.hypot(xx - track_x, SAR_HEIGHT - hh))
     # slant range is smallest at the highest point nearest the track
     h_max = h0 + max((b.height for b in spec.buildings), default=0.0)
-    r_near = float(r_at(0.0, h_max) - MARGIN_PX * g * np.sin(theta))
-    sar_rows = int(round(ey / g))
+    r_near = r_at(0.0, h_max) - MARGIN_PX * g * np.sin(theta)
+    rows, opt_cols = spec.shape
     sar_cols = int(np.ceil((r_at(ex, h0) - r_near) / (g * np.sin(theta)))) + MARGIN_PX
     sar = SarSensorModel(
         s0=(track_x, 0.5 * g, SAR_HEIGHT),
@@ -584,22 +588,19 @@ def canonical_scene_models(
         t0=0.0,
         az_time_per_row=g / vs,
         r_near=r_near,
-        range_per_col=float(g * np.sin(theta)),
+        range_per_col=g * np.sin(theta),
         look_side="right",
     )
-
-    opt_rows = int(round(ey / g))
-    opt_cols = int(round(ex / g))
     opt = OpticalSensorModel(
         pc=(cx, cy, OPT_HEIGHT),
         phi=0.0,
         omega=0.0,
         kappa=np.pi,
         focal=(OPT_HEIGHT - h0) / g,
-        principal_row=(opt_rows - 1) / 2.0,
+        principal_row=(rows - 1) / 2.0,
         principal_col=(opt_cols - 1) / 2.0,
     )
-    return sar, opt, (sar_rows, sar_cols), (opt_rows, opt_cols)
+    return sar, opt, (rows, sar_cols), (rows, opt_cols)
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ class LayoutMismatch(SimilarityError):
     """Descriptors with different layouts cannot be compared."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Patch:
     """Square odd-sized sample grid extracted around a point.
 
@@ -136,7 +136,7 @@ class Patch:
         return bins
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Descriptor:
     values: np.ndarray
     layout: tuple[int, int, int]  # (cells_x, cells_y, bins)

@@ -306,13 +306,22 @@ class TestSerialization:
             with pytest.raises(ValueError, match="not an object"):
                 model_from_sidecar({"sar_model": bad})
 
-    def test_invalid_models_rejected(self):
-        with pytest.raises(ValueError):
-            SarSensorModel(s0=(0, 0, 0), v=(0, 0, 0))
-        with pytest.raises(ValueError):
-            OpticalSensorModel(pc=(0, 0, 100), focal=-1.0)
-        with pytest.raises(ValueError):
-            SarSensorModel(s0=(0, 0, 0), v=(1, 0, 0), range_per_col=0.0)
+    @pytest.mark.parametrize("cls, kwargs, match", [
+        (SarSensorModel, dict(s0=(0, 0, 0), v=(0, 0, 0)), r"\|v\| > 0"),
+        (OpticalSensorModel, dict(pc=(0, 0, 100), focal=-1.0), "focal > 0"),
+        (SarSensorModel, dict(s0=(0, 0, 0), v=(1, 0, 0), range_per_col=0.0),
+         "range_per_col > 0"),
+        (SarSensorModel, dict(s0=(0, 0, 0), v=(1, 0, 0), az_time_per_row=0.0),
+         "az_time_per_row != 0"),
+        (SarSensorModel, dict(s0=(0, 0, 0), v=(1, 0, 0), look_side="up"), "look_side"),
+        (SarSensorModel, dict(s0=(0, 0), v=(1, 0, 0)), r"s0 must be a 3-vector.*\(2,\)"),
+        (SarSensorModel, dict(s0=(0, 0, 0), v=[[1, 0, 0]]), r"v must be a 3-vector.*\(1, 3\)"),
+        (OpticalSensorModel, dict(pc=(0, np.nan, 100)), "finite pc entry"),
+        (OpticalSensorModel, dict(pc=np.array([0, 0, np.inf])), "finite pc entry"),
+    ])
+    def test_invalid_models_rejected(self, cls, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            cls(**kwargs)
 
     # NaN passed the <= 0 and == 0 tests, and nothing bounded the others
     @pytest.mark.parametrize("cls, name, value", [
@@ -333,6 +342,66 @@ class TestSerialization:
         sidecar = model_to_sidecar(cls(**base))
         next(iter(sidecar.values()))[name] = value
         with pytest.raises(ValueError, match=f"finite {name}"):
+            model_from_sidecar(sidecar)
+
+
+MODEL_BASE = {SarSensorModel: dict(s0=(0, 0, 700e3), v=(0, 7500.0, 0)),
+              OpticalSensorModel: dict(pc=(0, 0, 100.0))}
+MODEL_SCALARS = {SarSensorModel: ("t0", "az_time_per_row", "r_near", "range_per_col"),
+                 OpticalSensorModel: ("phi", "omega", "kappa", "focal", "principal_row",
+                                      "principal_col")}
+MODEL_VECTORS = {SarSensorModel: ("s0", "v"), OpticalSensorModel: ("pc",)}
+
+
+class TestModelNumbers:
+    """The models store every number as the Python float check_real returns."""
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float16])
+    @pytest.mark.parametrize("name", ["phi", "omega", "kappa"])
+    def test_low_precision_angle_gives_the_float64_model(self, kind, name):
+        low = OpticalSensorModel(pc=(0, 0, 7e5), focal=7e5, **{name: kind(0.1)})
+        wide = OpticalSensorModel(pc=(0, 0, 7e5), focal=7e5, **{name: np.float64(kind(0.1))})
+        assert model_to_sidecar(low) == model_to_sidecar(wide)
+        assert low.rotation.tobytes() == wide.rotation.tobytes()
+
+    @pytest.mark.parametrize("name", ["phi", "omega", "kappa"])
+    def test_bool_angle_rejected(self, name):
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            OpticalSensorModel(pc=(0, 0, 7e5), focal=7e5, **{name: True})
+
+    def test_numpy_scalars_stored_as_python_floats(self):
+        sar = SarSensorModel(s0=np.float32([0, 0, 5e5]), v=(np.int64(0), np.float16(7500), 0),
+                             t0=np.float32(0.5), az_time_per_row=np.float16(1e-3),
+                             r_near=np.float32(875000.0), range_per_col=np.float32(0.5))
+        opt = OpticalSensorModel(pc=(np.int64(1), 2, 7e5), phi=np.float32(0.1),
+                                 omega=np.int64(0), kappa=np.float64(np.pi),
+                                 focal=np.int64(700000), principal_row=np.float16(10.5),
+                                 principal_col=np.float32(20.5))
+        for model in (sar, opt):
+            for name in MODEL_SCALARS[type(model)]:
+                assert type(getattr(model, name)) is float, name
+            for name in MODEL_VECTORS[type(model)]:
+                assert getattr(model, name).dtype == np.float64, name
+        # float32 range terms made a numpy.float32 column
+        col = sar.pixel_from_obs(SarObservation(0.5, 875437.7)).col
+        assert type(col) is float and col == (875437.7 - 875000.0) / 0.5
+
+    @pytest.mark.parametrize("cls, name", [(c, n) for c, names in MODEL_SCALARS.items()
+                                           for n in names])
+    @pytest.mark.parametrize("value", [True, False, "1.0", None])
+    def test_sidecar_scalar_that_is_not_a_real_number_rejected(self, cls, name, value):
+        sidecar = model_to_sidecar(cls(**MODEL_BASE[cls]))
+        next(iter(sidecar.values()))[name] = value
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            model_from_sidecar(sidecar)
+
+    @pytest.mark.parametrize("cls, name", [(c, n) for c, names in MODEL_VECTORS.items()
+                                           for n in names])
+    @pytest.mark.parametrize("value", [True, False, "0", None])
+    def test_sidecar_vector_entry_that_is_not_a_real_number_rejected(self, cls, name, value):
+        sidecar = model_to_sidecar(cls(**MODEL_BASE[cls]))
+        next(iter(sidecar.values()))[name][1] = value
+        with pytest.raises(ValueError, match=f"finite {name} entry"):
             model_from_sidecar(sidecar)
 
 

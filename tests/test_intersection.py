@@ -152,7 +152,7 @@ def lapack_intersect(sar_model, opt_model, sar_obs, opt_obs, initial, weights,
         record["norms"].append(np.linalg.norm(alpha * step))
         if record["norms"][-1] < tol:
             return IntersectionResult(
-                point=GroundPoint.from_array(p),
+                point=GroundPoint(*p),
                 covariance=np.linalg.inv(jac.T @ jac),
                 iterations=it,
                 rms_residual=float(np.sqrt(sse / len(r))),
@@ -512,7 +512,7 @@ class TestAgainstLapackOracle:
             if case == "glancing":
                 start = GroundPoint(0, 0, 1)
             else:  # 1 km behind the projection centre, on the camera axis
-                start = GroundPoint.from_array(opt.pc + 1e3 * opt.rotation[:, 2])
+                start = GroundPoint(*(opt.pc + 1e3 * opt.rotation[:, 2]))
             args = (sar, opt, sar_obs, opt_obs, start, w)
         want = _outcome(lapack_intersect, *args)
         assert isinstance(want, type)
@@ -596,6 +596,22 @@ class TestAgainstLapackOracle:
                     with pytest.raises(SingularNormalMatrix):
                         _conditioned_inverse(scaled)
 
+    # the six unique entries (n11, n12, n13, n22, n23, n33)
+    @pytest.mark.parametrize("normal, match", [
+        ((math.nan, 0.0, 0.0, 1.0, 0.0, 1.0), "not finite"),
+        ((1.0, 0.0, 0.0, 1.0, 0.0, math.inf), "not finite"),
+        ((1.0, -math.inf, 0.0, 1.0, math.inf, 1.0), "not finite"),
+        ((0.0, 0.0, 0.0, 1.0, 0.0, 1.0), "positive definite"),  # first pivot 0
+        ((-1.0, 0.0, 0.0, 1.0, 0.0, 1.0), "positive definite"),  # first pivot < 0
+        ((1.0, 1.0, 0.0, 1.0, 0.0, 1.0), "positive definite"),  # second pivot 0
+        ((1.0, 2.0, 0.0, 1.0, 0.0, 1.0), "positive definite"),  # second pivot < 0
+        ((1.0, 0.0, 1.0, 1.0, 0.0, 1.0), "positive definite"),  # third pivot 0
+        ((1.0, 0.0, 0.0, 1.0, 0.0, -1.0), "positive definite"),  # third pivot < 0
+    ])
+    def test_spd_inverse_rejects_non_finite_or_non_positive_pivot(self, normal, match):
+        with pytest.raises(SingularNormalMatrix, match=match):
+            _spd_inverse(normal)
+
     def test_well_conditioned_solve_computes_no_eigenvalue(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("eigenvalue computed")
@@ -657,7 +673,7 @@ class TestSolverInputs:
     def test_start_at_sar_sensor_is_singular(self):
         sar, opt, w = stereo_setup()
         sar_obs, opt_obs = exact_observations(sar, opt, GroundPoint(5.0, -3.0, 12.0))
-        start = GroundPoint.from_array(sar.position(sar_obs.t))
+        start = GroundPoint(*sar.position(sar_obs.t))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularNormalMatrix):

@@ -1,5 +1,9 @@
 """Tests for the raster container and the RFLT format."""
 
+import json
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import itertools
@@ -17,6 +21,7 @@ from sarstereo.raster import (
     Raster,
     TruncatedPayload,
     bilinear,
+    check_real,
     linear_bins,
     load_raster,
     save_raster,
@@ -47,10 +52,17 @@ class TestRflt:
         assert header == b"RFLT 2 3 none"
         assert len(payload) == 24
 
-    def test_bad_magic(self, tmp_path):
+    @pytest.mark.parametrize("blob, match", [
+        (b"NOPE 2 2 none\n" + b"\x00" * 16, "signature"),
+        (b"RFLT 2 2 none" + b"\x00" * 16, "missing header line"),
+        (b"RFLT 2 2\n" + b"\x00" * 16, "malformed RFLT header"),
+        (b"RFLT 2 2 none 0\n" + b"\x00" * 16, "malformed RFLT header"),
+        (b"RFLT 2.0 2 none\n" + b"\x00" * 16, "non-integer dimensions"),
+    ])
+    def test_bad_magic(self, tmp_path, blob, match):
         path = tmp_path / "bad.rflt"
-        path.write_bytes(b"NOPE 2 2 none\n" + b"\x00" * 16)
-        with pytest.raises(BadMagic):
+        path.write_bytes(blob)
+        with pytest.raises(BadMagic, match=match):
             load_raster(path)
 
     def test_pgm_is_bad_magic(self, tmp_path):
@@ -98,6 +110,21 @@ class TestRflt:
         back = load_raster(path)
         assert back.sidecar["geotransform"]["step"] == 0.5
 
+    @pytest.mark.parametrize("text", ["null", "3", "[1, 2]", '"x"'])
+    def test_sidecar_that_is_not_a_json_object_rejected(self, tmp_path, text):
+        path = tmp_path / "geo.rflt"
+        save_raster(Raster(samples=np.ones((2, 2), dtype=np.float32)), path)
+        (tmp_path / "geo.rflt.json").write_text(text)
+        with pytest.raises(ValueError, match=f"{path.name}.json: sidecar is not a JSON object"):
+            load_raster(path)
+
+    def test_malformed_sidecar_json_raises_decode_error(self, tmp_path):
+        path = tmp_path / "geo.rflt"
+        save_raster(Raster(samples=np.ones((2, 2), dtype=np.float32)), path)
+        (tmp_path / "geo.rflt.json").write_text('{"geotransform": ')
+        with pytest.raises(json.JSONDecodeError):
+            load_raster(path)
+
     def test_save_without_sidecar_removes_stale_one(self, tmp_path):
         path = tmp_path / "geo.rflt"
         save_raster(Raster(samples=np.ones((3, 3), dtype=np.float32),
@@ -112,7 +139,10 @@ class TestRasterType:
     def test_nodata_excluded_from_mean(self):
         s = np.array([[1.0, 2.0], [-9999.0, 3.0]], dtype=np.float32)
         r = Raster(samples=s, nodata=-9999.0)
-        assert r.mean() == pytest.approx(2.0)
+        assert r.valid_mask().tolist() == [[True, True], [False, True]]
+        assert r.samples[r.valid_mask()].mean() == pytest.approx(2.0)
+        # without a sentinel every sample is valid, -9999.0 included
+        assert Raster(samples=s).valid_mask().all()
 
     def test_nan_nodata_excluded(self, tmp_path):
         r = Raster(samples=[[1.0, np.nan], [3.0, 5.0]], nodata=np.nan)
@@ -120,7 +150,7 @@ class TestRasterType:
         save_raster(r, path)
         for raster in (r, load_raster(path)):
             assert raster.valid_mask().tolist() == [[True, False], [True, True]]
-            assert raster.mean() == 3.0
+            assert raster.samples[raster.valid_mask()].mean() == 3.0
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
@@ -142,6 +172,27 @@ class TestRasterType:
         assert np.isnan(db.nodata)
         assert db.valid_mask().tolist() == [[True, False, True]]
         assert db.samples[0, 0] == 0.0 and db.samples[0, 2] == pytest.approx(20.0)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [2, 2.5, -0.0, np.float16(2.5), np.float32(0.1),
+                                       np.float64(2.5), np.int64(2), Fraction(5, 2)])
+    def test_returns_the_python_float(self, value):
+        x = check_real("field", value)
+        assert type(x) is float and x == float(value)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), None, "2.5", 1 + 0j,
+                                       np.array(2.5), [2.5], math.nan, math.inf, -math.inf,
+                                       np.float32(np.inf), 10**400])
+    def test_rejects_what_is_not_a_finite_real_number(self, value):
+        with pytest.raises(ValueError, match=r"finite field\b"):
+            check_real("field", value)
+
+    def test_above_is_a_strict_bound(self):
+        assert check_real("field", 5e-324, above=0.0) == 5e-324
+        for value in (0, 0.0, -0.0, -1.0):
+            with pytest.raises(ValueError, match="finite field > 0"):
+                check_real("field", value, above=0.0)
 
 
 class TestGroundGrid:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sarstereo import scene_sim
 from sarstereo.geometry import (
     GroundPoint,
     OpticalSensorModel,
+    model_to_sidecar,
     opt_forward,
     opt_ray,
     ray_at_height,
@@ -145,6 +147,10 @@ class TestMakeScene:
         ((10.0, 10.0, 20.0, 20.0), np.nan),
         ((10.0, 10.0, np.inf, 20.0), 5.0),
         ((np.nan, 10.0, 20.0, 20.0), 5.0),
+        # degenerate footprints: no width, no depth, corners swapped
+        ((20.0, 10.0, 20.0, 20.0), 5.0),
+        ((10.0, 20.0, 20.0, 20.0), 5.0),
+        ((20.0, 20.0, 10.0, 10.0), 5.0),
     ])
     def test_building_rejects_non_finite_values(self, rect, height):
         with pytest.raises(ValueError):
@@ -838,10 +844,24 @@ class TestRenderSar:
             sar_row = sar.pixel_from_obs(sar_forward(sar, p)).row
             assert sar_row == pytest.approx(opt_forward(opt, p).row, abs=1e-9)
 
-    @pytest.mark.parametrize("theta", [0.0, 90.0, float("nan"), -10.0, 120.0, float("inf")])
+    @pytest.mark.parametrize("theta", [0.0, 90.0, float("nan"), -10.0, 120.0, float("inf"),
+                                       True, None, "35"])
     def test_canonical_models_reject_incidence_outside_0_to_90(self, theta):
-        with pytest.raises(ValueError, match="sar_theta_deg"):
-            canonical_scene_models(SceneSpec(extent=(50, 50)), sar_theta_deg=theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sar_theta_deg"):
+                canonical_scene_models(SceneSpec(extent=(50, 50)), sar_theta_deg=theta)
+
+    def test_canonical_models_take_any_real_type_of_incidence(self):
+        spec = SceneSpec(extent=(200.0, 200.0))
+        # a float32 incidence made a 200 x 217 frame and moved the track
+        want = canonical_scene_models(spec, sar_theta_deg=35.0)
+        assert want[2:] == ((200, 216), (200, 200))
+        for theta in (35, np.float32(35.0), np.float16(35.0), np.int64(35)):
+            sar, opt, sar_shape, opt_shape = canonical_scene_models(spec, sar_theta_deg=theta)
+            assert (sar_shape, opt_shape) == want[2:]
+            assert model_to_sidecar(sar) == model_to_sidecar(want[0])
+            assert model_to_sidecar(opt) == model_to_sidecar(want[1])
 
     def test_scene_outside_swath(self):
         spec = SceneSpec(extent=(50, 50))
@@ -969,6 +989,20 @@ class TestGroundTruth:
         truth = ground_truth_correspondences(dem, sar, opt, [shadowed])
         assert len(truth.pairs) == 0
         assert truth.excluded[0][1] == "sar_shadow"
+
+    def test_points_outside_a_frame_excluded(self, small_scene):
+        spec, dem, refl, sar, opt, sar_shape, opt_shape = small_scene
+        kept = GroundPoint(30.5, 40.0, 0.0)
+        past_sar = GroundPoint(30.5, 150.0, 0.0)  # SAR row about 150
+        past_optical = GroundPoint(150.0, 40.0, 0.0)  # optical column about 150
+        # shadowed and past the SAR frame: the first reason is reported
+        shadowed = GroundPoint(104.0, 85.0, 0.0)
+        truth = ground_truth_correspondences(
+            dem, sar, opt, [kept, past_sar, past_optical, shadowed],
+            sar_shape=(80, sar_shape[1]), opt_shape=(opt_shape[0], 120))
+        assert [pair.ground for pair in truth.pairs] == [kept]
+        assert truth.excluded == ((past_sar, "outside_sar"), (past_optical, "outside_optical"),
+                                  (shadowed, "sar_shadow"))
 
     def test_roof_and_ground_points_inside_rasters(self, small_scene):
         spec, dem, refl, sar, opt, sar_shape, opt_shape = small_scene

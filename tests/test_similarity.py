@@ -76,6 +76,13 @@ class TestPatchType:
     def test_template_size(self):
         assert Patch(np.zeros((221, 221))).template_size == 221
 
+    @pytest.mark.parametrize("measure", [ncc, nmi])
+    def test_patches_of_unequal_size_rejected(self, measure):
+        small, large = Patch(smooth_field(21, seed=5)), Patch(smooth_field(23, seed=5))
+        for a, b in ((small, large), (large, small)):
+            with pytest.raises(ValueError, match="equal sizes"):
+                measure(a, b)
+
 
 class TestPatchTerms:
     """ncc and nmi take each patch's centred samples, deviation and bin
@@ -536,6 +543,14 @@ class TestDescriptorSimilarity:
             acc += (x - y) ** 2
         assert got == pytest.approx(-np.sqrt(acc), abs=1e-12)
 
+    @pytest.mark.parametrize("values, match", [
+        (np.zeros(7), "length"), (np.zeros(9), "length"), (np.zeros((2, 8)), "length"),
+        (np.r_[np.zeros(7), np.nan], "non-finite"), (np.r_[np.inf, np.zeros(7)], "non-finite"),
+    ])
+    def test_descriptor_rejects_wrong_length_or_non_finite_values(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            Descriptor(values=values, layout=(1, 1, 8))
+
     def test_layout_mismatch(self):
         a = Descriptor(values=np.zeros(8), layout=(1, 1, 8))
         b = Descriptor(values=np.zeros(16), layout=(1, 2, 8))
@@ -837,6 +852,14 @@ class TestDescriptorParameters:
         # 30.0 failed with a TypeError from slicing, and True was taken as row 1
         gx, gy = np.random.default_rng(4).standard_normal((2, 100, 100))
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+            sift_from_gradients(gx, gy, row, col)
+
+    @pytest.mark.parametrize("row, col", [(19, 50), (50, 19), (80, 50), (50, 80), (0, 0)])
+    def test_sift_rejects_footprint_off_the_maps(self, row, col):
+        # the 41 px footprint at scale 10 fits rows and columns 20 to 79
+        gx, gy = np.random.default_rng(4).standard_normal((2, 100, 100))
+        sift_from_gradients(gx, gy, 20, 79)
+        with pytest.raises(ValueError, match="footprint"):
             sift_from_gradients(gx, gy, row, col)
 
     @pytest.mark.parametrize("scale", [-10.0, 0.0, np.nan, np.inf, -np.inf])

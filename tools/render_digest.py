@@ -6,7 +6,10 @@ Run from the root of a source checkout; the library is imported from its
 ``src`` directory and the scenes from ``perfbench/ops.py``.  For each seed
 and each scene, the four ``simulate`` scenes and the stereo scene that
 ``reconstruct`` and ``match`` share, one line gives the sha256 of the
-samples of the DEM, the reflectance, the optical render and the SAR render.
+samples of the DEM, the reflectance, the optical render and the SAR render,
+and a second line the sha256 of the files ``save_raster`` writes for each of
+the four, written to a temporary directory: the ``.rflt`` bytes, then the
+``.json`` sidecar text with the geotransform or the sensor model.
 Each ``simulate`` scene adds one line with the ``repr`` of its TruthSet, and
 the stereo scene one line with the sha256 of its optical sweep: every 10th
 row and column of the optical frame, taken through ``opt_inverse_at_height``
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,14 +37,32 @@ import numpy as np  # noqa: E402
 import ops  # noqa: E402
 from sarstereo import scene_sim  # noqa: E402
 from sarstereo.geometry import ImagePoint, opt_inverse_at_height, sar_forward  # noqa: E402
+from sarstereo.raster import save_raster  # noqa: E402
 from tracing import NullTracer, layer_api  # noqa: E402
 
 
+def _rasters(scene):
+    return (("dem", scene.dem), ("reflectance", scene.reflectance),
+            ("optical", scene.optical), ("sar", scene.sar_img))
+
+
 def _digests(scene) -> str:
-    rasters = (("dem", scene.dem), ("reflectance", scene.reflectance),
-               ("optical", scene.optical), ("sar", scene.sar_img))
     return " ".join(f"{name} {hashlib.sha256(r.samples.tobytes()).hexdigest()}"
-                    for name, r in rasters)
+                    for name, r in _rasters(scene))
+
+
+def _file_digests(scene) -> str:
+    """sha256 of the .rflt bytes and the .json text save_raster writes for
+    each of the scene's rasters."""
+    digests = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, r in _rasters(scene):
+            path = Path(tmp) / f"{name}.rflt"
+            save_raster(r, path)
+            digest = hashlib.sha256(path.read_bytes())
+            digest.update(path.with_name(path.name + ".json").read_bytes())
+            digests.append(f"{name} {digest.hexdigest()}")
+    return " ".join(digests)
 
 
 def _sweep_digest(scene) -> str:
@@ -80,8 +102,8 @@ def _match_digest(api, scene, seed: int) -> str:
 
 
 def seed_lines(seed: int):
-    """The lines of one seed: each scene's digests, each simulate truth, the
-    stereo sweep and the match round."""
+    """The lines of one seed: each scene's sample and file digests, each
+    simulate truth, the stereo sweep and the match round."""
     api = layer_api(NullTracer())
     for k, job in enumerate(ops.simulate_jobs(seed)):
         try:
@@ -94,10 +116,12 @@ def seed_lines(seed: int):
             yield f"seed {seed} scene {k} raised {type(exc).__name__}: {exc}"
             continue
         yield f"seed {seed} scene {k} {_digests(scene)}"
+        yield f"seed {seed} scene {k} files {_file_digests(scene)}"
         yield f"seed {seed} scene {k} truth {truth!r}"
     try:
         stereo = ops.build_stereo_scene(api, seed)
         yield f"seed {seed} stereo {_digests(stereo)}"
+        yield f"seed {seed} stereo files {_file_digests(stereo)}"
         yield f"seed {seed} stereo sweep {_sweep_digest(stereo)}"
     except ops.OP_ERRORS as exc:
         yield f"seed {seed} stereo raised {type(exc).__name__}: {exc}"
