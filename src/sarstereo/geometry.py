@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from sarstereo.raster import check_real, sidecar_entry
+from sarstereo.raster import check_real, check_reals, sidecar_entry, store_reals
 
 
 class GeometryError(Exception):
@@ -60,22 +60,6 @@ class BehindCamera(GeometryError):
 
 class RayParallelToPlane(GeometryError):
     """Viewing ray does not intersect the height plane."""
-
-
-def _vec3(name: str, v) -> np.ndarray:
-    """v as a float64 3-vector; ValueError, naming name, unless it has three
-    entries, each as check_real takes it."""
-    a = np.asarray(v, dtype=object)  # keeps a bool or a string as it is
-    if a.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {a.shape}")
-    return np.array([check_real(f"{name} entry", x) for x in a])
-
-
-def _store_reals(model, names, positive: str) -> None:
-    """Store each field of names as check_real returns it; positive's is > 0."""
-    for name in names:
-        above = 0.0 if name == positive else -math.inf
-        object.__setattr__(model, name, check_real(name, getattr(model, name), above))
 
 
 @dataclass(frozen=True)
@@ -136,10 +120,9 @@ class SarSensorModel:
     look_side: str = "right"
 
     def __post_init__(self):
-        object.__setattr__(self, "s0", _vec3("s0", self.s0))
-        object.__setattr__(self, "v", _vec3("v", self.v))
-        _store_reals(self, ("t0", "az_time_per_row", "r_near", "range_per_col"),
-                     positive="range_per_col")
+        object.__setattr__(self, "s0", np.array(check_reals("s0", self.s0, 3)))
+        object.__setattr__(self, "v", np.array(check_reals("v", self.v, 3)))
+        store_reals(self, ("t0", "az_time_per_row", "r_near"), positive=("range_per_col",))
         if np.linalg.norm(self.v) <= 0:
             raise ValueError("SarSensorModel requires |v| > 0")
         if self.az_time_per_row == 0:
@@ -178,9 +161,9 @@ class OpticalSensorModel:
     rotation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pc", _vec3("pc", self.pc))
-        _store_reals(self, ("phi", "omega", "kappa", "focal", "principal_row",
-                            "principal_col"), positive="focal")
+        object.__setattr__(self, "pc", np.array(check_reals("pc", self.pc, 3)))
+        store_reals(self, ("phi", "omega", "kappa", "principal_row", "principal_col"),
+                    positive=("focal",))
         object.__setattr__(self, "rotation",
                            rotation_from_angles(self.phi, self.omega, self.kappa))
 
@@ -220,9 +203,9 @@ def _xyz(a):
 
 
 def rotation_from_angles(phi: float, omega: float, kappa: float) -> np.ndarray:
-    """Orthonormal rotation R = Rz(kappa) @ Ry(phi) @ Rx(omega)."""
-    if not (math.isfinite(phi) and math.isfinite(omega) and math.isfinite(kappa)):
-        raise ValueError("rotation angles must be finite")
+    """Orthonormal rotation R = Rz(kappa) @ Ry(phi) @ Rx(omega); ValueError,
+    naming the angle, unless each is as raster.check_real takes it."""
+    phi, omega, kappa = map(check_real, ("phi", "omega", "kappa"), (phi, omega, kappa))
     cp, sp = np.cos(phi), np.sin(phi)
     co, so = np.cos(omega), np.sin(omega)
     ck, sk = np.cos(kappa), np.sin(kappa)

@@ -48,7 +48,7 @@ from sarstereo.geometry import (
     collinearity,
     in_front,
 )
-from sarstereo.raster import check_integer
+from sarstereo.raster import check_integer, store_reals
 
 
 class IntersectionError(Exception):
@@ -71,7 +71,7 @@ class ObservationWeights:
     """Standard deviations of the four observations.
 
     sigma_t in seconds, sigma_r in meters, sigma_px in pixels (shared by the
-    optical row and col).  Each must be finite and > 0.
+    optical row and col).  Each is stored as raster.check_real's float > 0.
     """
 
     sigma_t: float
@@ -79,9 +79,7 @@ class ObservationWeights:
     sigma_px: float = 0.5
 
     def __post_init__(self):
-        if not all(math.isfinite(s) and s > 0
-                   for s in (self.sigma_t, self.sigma_r, self.sigma_px)):
-            raise ValueError("all observation sigmas must be finite and > 0")
+        store_reals(self, positive=("sigma_t", "sigma_r", "sigma_px"))
 
     @staticmethod
     def half_pixel(model: SarSensorModel, sigma_px: float = 0.5) -> "ObservationWeights":

@@ -19,9 +19,14 @@ through one tiled loop, whose tiles serve every grid of a stack and take a
 column against a row without broadcasting it.  render_optical's bisection,
 whose positions stay in one cell, gathers the corners once and calls
 bilinear_sum alone.  Every path gives the bytes of sampling each position on
-its own.  sidecar_entry, check_integer, check_integer_pair and check_real
-(the one rule for a real number, sidecars' included) are the input checks
-that several modules share.
+its own.  sidecar_entry and the check_ functions are the input checks that
+several modules share.  check_real is the one rule for a real number: finite,
+not a bool, returned as a Python float; check_reals takes n of them and
+store_reals stores them in a frozen dataclass.  The geotransform, the sensor
+models, rotation_from_angles, the incidence, the scene types, RenderNoise,
+ObservationWeights and SIFT's scale follow it.  Not yet: GroundPoint,
+ImagePoint and SarObservation, which a check per point would slow, and
+StereoConfig, accuracy_grid and intersect's tol, until the matcher lands.
 """
 
 from __future__ import annotations
@@ -186,11 +191,7 @@ def check_integer(name: str, value, least: int) -> None:
 def check_integer_pair(name: str, value, least: int) -> None:
     """ValueError, naming name, unless value is a sequence of two integers
     >= least, each as check_integer takes it."""
-    try:
-        pair = len(value) == 2
-    except TypeError:  # a number or None has no length
-        pair = False
-    if not pair:
+    if np.asarray(value, dtype=object).shape != (2,):  # as check_reals decides
         raise ValueError(f"{name} must be two integers >= {least}, got {value!r}")
     for n in value:
         check_integer(f"{name} entry", n, least)
@@ -210,6 +211,23 @@ def check_real(name: str, value, above: float = -math.inf) -> float:
     bound = "" if above == -math.inf else f" > {above:g}"
     raise ValueError(f"expected a finite {name}{bound} (a real number, not a bool), "
                      f"got {value!r}")
+
+
+def check_reals(name: str, values, n: int, above: float = -math.inf) -> tuple[float, ...]:
+    """values as a tuple of n Python floats; ValueError, naming name, unless
+    it is a sequence of n entries, each as check_real takes it."""
+    a = np.asarray(values, dtype=object)  # keeps a bool or a string as it is
+    if a.shape != (n,):
+        raise ValueError(f"{name} must be a {n}-vector, got shape {a.shape}")
+    return tuple(check_real(f"{name} entry", x, above) for x in a)
+
+
+def store_reals(obj, names=(), positive=()) -> None:
+    """Store each field of names, and each of positive > 0, of the frozen
+    dataclass obj as check_real returns it."""
+    for above, group in ((-math.inf, names), (0.0, positive)):
+        for name in group:
+            object.__setattr__(obj, name, check_real(name, getattr(obj, name), above))
 
 
 def bilinear(samples: np.ndarray, r, c, fill) -> np.ndarray:

@@ -12,7 +12,6 @@ multimodal problem while the geometry stays exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +41,10 @@ from sarstereo.raster import (
     check_integer,
     check_integer_pair,
     check_real,
+    check_reals,
     linear_bins,
     soft_histogram,
+    store_reals,
 )
 
 
@@ -67,13 +68,11 @@ class Building:
     height: float
 
     def __post_init__(self):
+        object.__setattr__(self, "rect", check_reals("rect", self.rect, 4))
+        store_reals(self, positive=("height",))
         x0, y0, x1, y1 = self.rect
-        if not all(map(math.isfinite, self.rect)):
-            raise ValueError(f"building footprint {self.rect} is not finite")
         if not (x1 > x0 and y1 > y0):
-            raise ValueError("degenerate building footprint")
-        if not 0 < self.height < math.inf:
-            raise ValueError("building height must be finite and > 0")
+            raise ValueError(f"degenerate building footprint {self.rect}")
 
 
 @dataclass(frozen=True)
@@ -86,11 +85,9 @@ class SceneSpec:
     texture_contrast: float = 0.6  # peak-to-peak relative amplitude
 
     def __post_init__(self):
+        object.__setattr__(self, "extent", check_reals("extent", self.extent, 2, above=0.0))
+        store_reals(self, ("ground_height", "texture_contrast"), positive=("gsd",))
         ex, ey = self.extent
-        if not (0 < ex < math.inf and 0 < ey < math.inf and 0 < self.gsd < math.inf):
-            raise ValueError("extent and gsd must be finite and positive")
-        if not (math.isfinite(self.ground_height) and math.isfinite(self.texture_contrast)):
-            raise ValueError("ground_height and texture_contrast must be finite")
         check_integer("texture_seed", self.texture_seed, 0)
         if min(self.shape) < 1:
             raise ValueError(f"extent {self.extent} at gsd {self.gsd} has no grid cell")
@@ -109,18 +106,17 @@ class SceneSpec:
 class RenderNoise:
     """Noise of the two renderers, drawn from generators seeded with seed."""
 
-    optical_sigma: float = 0.0  # additive gaussian, gray levels
-    speckle_looks: int | None = None  # None disables speckle
+    optical_sigma: float = 0.0  # additive gaussian, gray levels, >= 0
+    speckle_looks: float | None = None  # a real >= 1, the gamma shape; None: no speckle
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.optical_sigma < math.inf:
-            raise ValueError("optical_sigma must be finite and >= 0")
-        looks = self.speckle_looks
-        # a bool compares as 0 or 1, so True rendered one look
-        if looks is not None and (isinstance(looks, bool) or not 1 <= looks < math.inf):
-            raise ValueError(f"speckle_looks must be None or a finite number >= 1, "
-                             f"not a bool, got {looks!r}")
+        speckle = () if self.speckle_looks is None else ("speckle_looks",)
+        store_reals(self, ("optical_sigma", *speckle))
+        if self.optical_sigma < 0:
+            raise ValueError(f"optical_sigma must be >= 0, got {self.optical_sigma!r}")
+        if speckle and self.speckle_looks < 1:
+            raise ValueError(f"speckle_looks must be None or >= 1, got {self.speckle_looks!r}")
         # the renderers draw from seed + 1 and seed + 2
         check_integer("seed", self.seed, 0)
 

@@ -46,13 +46,13 @@ the patch border.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from sarstereo.raster import BILINEAR_BLOCK, check_integer, linear_bins, soft_histogram
+from sarstereo.raster import (BILINEAR_BLOCK, check_integer, check_real, linear_bins,
+                              soft_histogram)
 
 NCC = "NCC"
 MI = "MI"
@@ -136,6 +136,15 @@ class Patch:
         return bins
 
 
+@lru_cache(maxsize=16, typed=True)
+def _layout_size(cells_x, cells_y, bins) -> int:
+    """A descriptor's length, cached as one is built per candidate; ValueError
+    unless each is an integer >= 1 (the cache is typed, so True is not 1)."""
+    for n in (cells_x, cells_y, bins):
+        check_integer("layout entry", n, 1)
+    return cells_x * cells_y * bins
+
+
 @dataclass(frozen=True, eq=False)
 class Descriptor:
     values: np.ndarray
@@ -143,8 +152,7 @@ class Descriptor:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).ravel()
-        cx, cy, nb = self.layout
-        if len(v) != cx * cy * nb:
+        if len(v) != _layout_size(*self.layout):
             raise ValueError("descriptor length does not match layout")
         if not np.all(np.isfinite(v)):
             raise ValueError("descriptor contains non-finite values")
@@ -200,10 +208,8 @@ def nmi(i: Patch, j: Patch) -> SimilarityScore:
     pj = joint / joint.sum()
     pa = pj.reshape(NMI_BINS, NMI_BINS).sum(axis=1)
     pb = pj.reshape(NMI_BINS, NMI_BINS).sum(axis=0)
-    h_joint = _entropy(pj)
-    if h_joint == 0.0:
-        raise DegenerateHistogram("joint histogram is a single bin")
-    value = (_entropy(pa) + _entropy(pb)) / h_joint
+    # _quantize puts each patch in its first and last bin, so the joint fills two
+    value = (_entropy(pa) + _entropy(pb)) / _entropy(pj)
     return SimilarityScore(value=float(value), measure=MI)
 
 
@@ -335,8 +341,7 @@ def sift_from_gradients(
     at 0.2 / renormalize.  ValueError unless center_row and center_col are
     integers >= 0, not bools, and the footprint lies within the maps.
     """
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"SIFT scale must be finite and positive, got {scale!r}")
+    scale = check_real("scale", scale, above=0.0)
     check_integer("center_row", center_row, 0)
     check_integer("center_col", center_col, 0)
     d, nb = SIFT_CELLS, SIFT_BINS

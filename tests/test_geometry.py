@@ -386,6 +386,17 @@ class TestModelNumbers:
         col = sar.pixel_from_obs(SarObservation(0.5, 875437.7)).col
         assert type(col) is float and col == (875437.7 - 875000.0) / 0.5
 
+    @pytest.mark.parametrize("k, name", enumerate(["phi", "omega", "kappa"]))
+    def test_rotation_takes_angles_as_check_real_does(self, k, name):
+        angles = [0.1, 0.2, 0.3]
+        for bad in (True, False, np.array(0.1)):
+            with pytest.raises(ValueError, match=f"finite {name}"):
+                rotation_from_angles(*angles[:k], bad, *angles[k + 1:])
+        # numpy took the cosine of a float32 in float32, and of a bool in float16
+        low = rotation_from_angles(*angles[:k], np.float32(0.1), *angles[k + 1:])
+        wide = rotation_from_angles(*angles[:k], float(np.float32(0.1)), *angles[k + 1:])
+        assert low.dtype == np.float64 and low.tobytes() == wide.tobytes()
+
     @pytest.mark.parametrize("cls, name", [(c, n) for c, names in MODEL_SCALARS.items()
                                            for n in names])
     @pytest.mark.parametrize("value", [True, False, "1.0", None])
@@ -406,7 +417,12 @@ class TestModelNumbers:
 
 
 class TestValueTypes:
-    """Coordinates and angles are checked one real number at a time."""
+    """Coordinates and angles are checked one real number at a time.
+
+    The per-point types raise TypeError on a non-number and take a 0-d
+    array; rotation_from_angles takes each angle as raster.check_real does,
+    so it raises ValueError on both.
+    """
 
     # each value type, or function, with its number of arguments
     CHECKED = [(GroundPoint, 3), (ImagePoint, 2), (SarObservation, 2),
@@ -430,15 +446,17 @@ class TestValueTypes:
 
     @pytest.mark.parametrize("make, n", CHECKED)
     def test_real_scalars_accepted(self, make, n):
-        for good in (2.5, 3, np.float32(2.5), np.float64(2.5), np.int64(3), np.array(2.5)):
+        zero_d = () if make is rotation_from_angles else (np.array(2.5),)
+        for good in (2.5, 3, np.float32(2.5), np.float64(2.5), np.int64(3), *zero_d):
             for call in self.calls(make, n, good):
                 call()
 
     @pytest.mark.parametrize("make, n", CHECKED)
     def test_non_numbers_rejected(self, make, n):
+        error = ValueError if make is rotation_from_angles else TypeError
         for bad in (None, "1.0", np.array([1.0])):
             for call in self.calls(make, n, bad):
-                with pytest.raises(TypeError):
+                with pytest.raises(error):
                     call()
 
 

@@ -30,6 +30,8 @@ from sarstereo.raster import (
     bilinear_axis,
     bilinear_corners,
     linear_bins,
+    load_raster,
+    save_raster,
     soft_histogram,
 )
 from sarstereo.scene_sim import (
@@ -189,7 +191,8 @@ class TestRenderNoise:
         # a NaN sigma meant no noise, an infinite one an image with no
         # finite sample, and infinite or NaN looks an all-NaN SAR image;
         # a seed of -5 failed inside a renderer's generator, 2.5 with a TypeError
-        with pytest.raises(ValueError):
+        name, = kwargs
+        with pytest.raises(ValueError, match=name):
             RenderNoise(**kwargs)
 
     def test_accepts_finite_settings(self):
@@ -197,6 +200,67 @@ class TestRenderNoise:
                        {"optical_sigma": 2.5, "speckle_looks": 4.5}, {"speckle_looks": None},
                        {"seed": np.int64(7)}, {"seed": np.uint32(2**31)}):
             RenderNoise(**kwargs)
+
+
+# each type that stores raster.check_real's floats: arguments it accepts and
+# its real-number fields, of which rect and extent are sequences
+SCENE_TYPES = {
+    Building: (dict(rect=(10.0, 10.0, 20.0, 20.0), height=5.0), ("rect", "height")),
+    SceneSpec: (dict(extent=(50.0, 40.0)), ("extent", "gsd", "ground_height",
+                                            "texture_contrast")),
+    RenderNoise: (dict(speckle_looks=4.0), ("optical_sigma", "speckle_looks")),
+    ObservationWeights: (dict(sigma_t=1e-3, sigma_r=1.0), ("sigma_t", "sigma_r", "sigma_px")),
+}
+
+
+class TestSceneNumbers:
+    """The scene and acquisition inputs follow raster.check_real's rule."""
+
+    @pytest.mark.parametrize("cls, name", [(c, n) for c, (_, names) in SCENE_TYPES.items()
+                                           for n in names])
+    @pytest.mark.parametrize("bad", [True, False, "1.0"])
+    def test_bool_or_string_rejected_naming_the_field(self, cls, name, bad):
+        kwargs = SCENE_TYPES[cls][0]
+        value = getattr(cls(**kwargs), name)
+        if isinstance(value, tuple):  # one entry of a sequence field
+            value = (value[0], bad, *value[2:])
+            with pytest.raises(ValueError, match=f"finite {name} entry"):
+                cls(**{**kwargs, name: value})
+            bad = "1" * len(value)  # a string of as many characters
+        with pytest.raises(ValueError, match=name):
+            cls(**{**kwargs, name: bad})
+
+    def test_numpy_scalars_stored_as_python_floats(self):
+        made = [Building(rect=np.float32([10, 10, 20, 20]), height=np.float16(5.0)),
+                SceneSpec(extent=(np.int64(50), np.float32(40.0)), gsd=np.float32(0.5),
+                          ground_height=np.int64(3), texture_contrast=np.float16(0.5)),
+                RenderNoise(optical_sigma=np.float32(2.5), speckle_looks=np.int64(4)),
+                ObservationWeights(np.float32(1e-3), np.float16(1.0), np.int64(1))]
+        for obj, (_, names) in zip(made, SCENE_TYPES.values()):
+            for name in names:
+                value = getattr(obj, name)
+                if isinstance(value, tuple):
+                    assert {type(v) for v in value} == {float}, name
+                else:
+                    assert type(value) is float, name
+        assert made[0].rect == (10.0, 10.0, 20.0, 20.0)
+
+    def test_inclusive_bounds_take_their_ends(self):
+        noise = RenderNoise(optical_sigma=0, speckle_looks=1)
+        assert (noise.optical_sigma, noise.speckle_looks) == (0.0, 1.0)
+        for kwargs in ({"optical_sigma": -1e-300}, {"speckle_looks": np.nextafter(1.0, 0.0)}):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                RenderNoise(**kwargs)
+
+    def test_float32_gsd_scene_saves_and_reloads(self, tmp_path):
+        # make_scene put the float32 into the geotransform, which json refused
+        spec = SceneSpec(extent=(20.0, 10.0), gsd=np.float32(0.5))
+        dem, refl = make_scene(spec)
+        for name, raster in (("dem", dem), ("refl", refl)):
+            save_raster(raster, tmp_path / f"{name}.rflt")
+            back = load_raster(tmp_path / f"{name}.rflt")
+            assert back.samples.tobytes() == raster.samples.tobytes()
+            assert back.sidecar == {"geotransform": {"x0": 0.25, "y0": 0.25, "step": 0.5}}
 
 
 def _render_optical_oracle(dem, reflectance, model, shape):
@@ -424,7 +488,7 @@ class TestRenderOptical:
     @pytest.mark.parametrize("renderer", ["optical", "sar"])
     @pytest.mark.parametrize("shape", [(0, 20), (16, 0), (-3, 4), (16.0, 20.0), (16,),
                                        (16, 20, 1), 16, (True, True), (True, 20),
-                                       (16, np.float64(20.0))])
+                                       (16, np.float64(20.0)), {16, 20}])
     def test_rejects_frame_shape_that_is_not_two_positive_integers(self, shape, renderer,
                                                                    monkeypatch):
         spec = SceneSpec(extent=(40.0, 30.0))

@@ -551,6 +551,13 @@ class TestDescriptorSimilarity:
         with pytest.raises(ValueError, match=match):
             Descriptor(values=values, layout=(1, 1, 8))
 
+    # each product is 8, so the length check passed them
+    @pytest.mark.parametrize("layout", [(-1, -1, 8), (0.5, 2, 8), (True, 1, 8),
+                                        (1, 1, np.float64(8.0))])
+    def test_descriptor_rejects_layout_that_is_not_three_integers_from_one(self, layout):
+        with pytest.raises(ValueError, match="layout entry"):
+            Descriptor(values=np.zeros(8), layout=layout)
+
     def test_layout_mismatch(self):
         a = Descriptor(values=np.zeros(8), layout=(1, 1, 8))
         b = Descriptor(values=np.zeros(16), layout=(1, 2, 8))
@@ -862,7 +869,9 @@ class TestDescriptorParameters:
         with pytest.raises(ValueError, match="footprint"):
             sift_from_gradients(gx, gy, row, col)
 
-    @pytest.mark.parametrize("scale", [-10.0, 0.0, np.nan, np.inf, -np.inf])
+    # True built a descriptor at a 1 px scale
+    @pytest.mark.parametrize("scale", [-10.0, 0.0, np.nan, np.inf, -np.inf,
+                                       True, "10.0", None])
     def test_sift_rejects_scale(self, scale):
         gx, gy = np.random.default_rng(4).standard_normal((2, 100, 100))
         before = similarity._sift_layout.cache_info()
